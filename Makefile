@@ -15,6 +15,7 @@ bench:
 
 fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
+	$(GO) test -fuzz=FuzzProcessBatch -fuzztime=10s ./internal/core
 
 check:
 	sh scripts/check.sh

@@ -45,8 +45,15 @@ func batchConfig(c *batchCursor) Config {
 	return cfg
 }
 
+// batchRules draws 0..2 rules of mixed shapes or, one case in 32, a wide
+// set of 33..64 rules whose literal prefixes (4 symbols, the first 2..3) fill
+// 3..4 words of the prefilter's shift-and state, so partials carry across
+// word boundaries.
 func batchRules(c *batchCursor) []rules.Rule {
-	n := int(c.next() % 3)
+	n, wide := int(c.next()%3), false
+	if c.next()%32 == 0 {
+		n, wide = 33+int(c.next()%32), true
+	}
 	rs := make([]rules.Rule, 0, n)
 	for i := 0; i < n; i++ {
 		r := rules.Rule{ID: i, Mode: rules.Mode(c.next() % 5), Priority: int(c.next() % 4)}
@@ -60,10 +67,24 @@ func batchRules(c *batchCursor) []rules.Rule {
 			r.N = uint64(c.next()) * 2
 		}
 		steps := 1 + int(c.next()%4)
+		if wide {
+			// Rule 0's shorter prefix shifts every later one off the 4-bit
+			// grid, so some prefixes straddle a 64-bit word boundary.
+			steps = 4
+			if i == 0 {
+				steps = 2 + int(c.next()%2)
+			}
+		}
 		for j := 0; j < steps; j++ {
 			s := rules.Step{
 				Sym:  uint16(c.next()) | uint16(c.next()&1)<<8,
 				Mask: rules.SymbolMask,
+			}
+			if wide {
+				// Exact gap-free 4-symbol patterns: few starters, full
+				// screen width, and an exact DFA that fits its budget.
+				r.Steps = append(r.Steps, s)
+				continue
 			}
 			switch c.next() % 8 {
 			case 0:
@@ -138,6 +159,14 @@ func batchStream(c *batchCursor, cfg Config, rs []rules.Rule, n int) []phy.Chara
 				}
 			}
 			stream = append(stream, phy.ControlChar(0x0C))
+		case b%16 == 3 && len(rs) > 0:
+			// A leading run of some rule's steps, back to back: whole
+			// prefixes make the screen hit, cut-short ones leave partials
+			// that die or straddle a chunk boundary.
+			steps := rs[int(c.next())%len(rs)].Steps
+			for _, st := range steps[:1+int(c.next())%len(steps)] {
+				stream = append(stream, phy.Character(st.Sym)&(dcFlag|0xFF))
+			}
 		case b&3 != 3:
 			stream = append(stream, pool[int(b>>2)%len(pool)])
 		default:
@@ -166,7 +195,9 @@ func diffEngines(t *testing.T, caseN, chunkN int, ref, batch *Engine) {
 	}
 }
 
-func checkEngineBatchCase(t *testing.T, caseN int, data []byte) {
+// checkEngineBatchCase reports whether the case armed a screen of three or
+// more shift-and words.
+func checkEngineBatchCase(t *testing.T, caseN int, data []byte) (wide bool) {
 	c := &batchCursor{data: data}
 	slacks := []int{WindowSize, WindowSize + 1, 8, DefaultSlackChars}
 	slack := slacks[int(c.next())%len(slacks)]
@@ -178,19 +209,19 @@ func checkEngineBatchCase(t *testing.T, caseN int, data []byte) {
 	ref.Configure(cfg)
 	batch.Configure(cfg)
 	if len(rs) > 0 {
-		// Sweep the prefilter engines: the per-symbol reference never uses
-		// the screen, so every mode is checked against exact execution.
-		pfModes := []rules.PrefilterMode{
-			rules.PrefilterAuto, rules.PrefilterOff,
-			rules.PrefilterShiftAnd, rules.PrefilterReduced,
-		}
-		opts := rules.Options{Prefilter: pfModes[int(c.next())%len(pfModes)]}
-		if opts.Prefilter == rules.PrefilterReduced && c.next()%2 == 0 {
-			opts.PrefilterBudget = 4 // starve the budget: truncation ladder
-		}
+		// Sweep both exact-engine forms: the lane executor's start test and
+		// skip take a different path from the DFA's.
+		opts := []rules.Options{{}, {ForceLanes: true}}[c.next()%2]
 		if p, err := rules.Compile(rs, opts); err == nil {
-			ref.SetRuleProgram(p)
-			batch.SetRuleProgram(p)
+			if pf := p.Prefilter(); pf != nil && pf.Stats().Words >= 3 {
+				wide = true
+			}
+			if err := ref.SetRuleProgram(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := batch.SetRuleProgram(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -258,6 +289,7 @@ func checkEngineBatchCase(t *testing.T, caseN int, data []byte) {
 			}
 		}
 	}
+	return wide
 }
 
 // TestProcessBatchEquivalence10k drives ten thousand seeded random cases —
@@ -270,12 +302,20 @@ func TestProcessBatchEquivalence10k(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(640)) // the paper's 640 Mb/s link rate
 	buf := make([]byte, 1024)
+	wide := 0
 	for i := 0; i < cases; i++ {
 		rng.Read(buf)
-		checkEngineBatchCase(t, i, buf)
+		if checkEngineBatchCase(t, i, buf) {
+			wide++
+		}
 		if t.Failed() {
 			t.FailNow()
 		}
+	}
+	// batchRules draws a wide set in one case of 32; make sure the
+	// generator keeps reaching screens whose partials cross word boundaries.
+	if wide < cases/100 {
+		t.Fatalf("only %d of %d cases armed a 3-4 word screen", wide, cases)
 	}
 }
 
@@ -293,6 +333,84 @@ func FuzzProcessBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEngineBatchCase(t, 0, data)
 	})
+}
+
+// A rule prefix straddling two ProcessBatch calls must still fire: the scan
+// holds back partials still viable at the end of a call for per-symbol
+// verification, instead of skipping them as clean.
+func TestProcessBatchPrefixAcrossCalls(t *testing.T) {
+	p, err := rules.Compile([]rules.Rule{{
+		ID: 0, Mode: rules.ModeOn, Action: rules.ActionToggle, CorruptData: []uint16{0x0F},
+		Steps: []rules.Step{
+			{Sym: 0x141, Mask: rules.SymbolMask},
+			{Sym: 0x142, Mask: rules.SymbolMask},
+			{Sym: 0x143, Mask: rules.SymbolMask},
+		},
+	}}, rules.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Prefilter() == nil {
+		t.Fatal("three-symbol prefix compiled without a screen")
+	}
+	stream := dataChars([]byte{7, 7, 0x41, 0x42, 0x43, 7})
+	for cut := 1; cut < 3; cut++ {
+		e := NewEngine(DefaultSlackChars)
+		if err := e.SetRuleProgram(p); err != nil {
+			t.Fatal(err)
+		}
+		boundary := 2 + cut // split inside the prefix
+		out := append([]phy.Character(nil), e.ProcessBatch(stream[:boundary])...)
+		out = append(out, e.ProcessBatch(stream[boundary:])...)
+		out = append(out, e.Flush()...)
+		if m, f, _ := e.RuleCounters(0); m != 1 || f != 1 {
+			t.Fatalf("cut %d: rule counters (%d,%d), want (1,1)", cut, m, f)
+		}
+		if got, want := bytesOf(out), []byte{7, 7, 0x41, 0x42, 0x4C, 7}; string(got) != string(want) {
+			t.Fatalf("cut %d: out % X, want % X", cut, got, want)
+		}
+	}
+}
+
+// planScan's verdict shapes for a rule screen alone (no compare window): a
+// hit rewinds by MaxLen-1, a partial at the span's end is held back, dead
+// partials are cleaned through.
+func TestPlanScanSplits(t *testing.T) {
+	p, err := rules.Compile([]rules.Rule{{
+		ID: 0, Mode: rules.ModeOn, Action: rules.ActionCapture,
+		Steps: []rules.Step{
+			{Sym: 0x141, Mask: rules.SymbolMask},
+			{Sym: 0x142, Mask: rules.SymbolMask},
+		},
+	}}, rules.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(DefaultSlackChars)
+	if err := e.SetRuleProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	e.rebuildPlan()
+	cases := []struct {
+		name        string
+		data        []byte
+		clean, hold int
+	}{
+		{"all quiet", []byte{1, 2, 3, 4}, 4, 0},
+		{"hit mid-run", []byte{1, 2, 0x41, 0x42, 7}, 2, 2},
+		{"hit at start", []byte{0x41, 0x42, 7}, 0, 2},
+		{"partial at end", []byte{1, 2, 0x41}, 2, 1},
+		{"dead partial cleaned", []byte{1, 0x41, 9, 2}, 4, 0},
+		// The first 0x41's partial died when the second arrived; the hit
+		// rewind only needs MaxLen symbols, so position 0 stays clean.
+		{"restart inside partial", []byte{0x41, 0x41, 0x42}, 1, 2},
+	}
+	for _, tc := range cases {
+		clean, hold, _ := e.planScan(dataChars(tc.data))
+		if clean != tc.clean || hold != tc.hold {
+			t.Errorf("%s: planScan = (%d,%d), want (%d,%d)", tc.name, clean, hold, tc.clean, tc.hold)
+		}
+	}
 }
 
 // A taint leak would be invisible to the equivalence suite — the engine

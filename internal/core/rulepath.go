@@ -63,11 +63,8 @@ func RuleFromConfig(id int, cfg Config) rules.Rule {
 // Recompiling re-arms every rule: counters, once latches and window clocks
 // restart, as reloading the hardware's rule memory would.
 func (e *Engine) AddRule(r rules.Rule) error {
-	if len(r.CorruptData) > WindowSize {
-		return fmt.Errorf("core: rule %d corrupt vector length %d exceeds window size %d", r.ID, len(r.CorruptData), WindowSize)
-	}
-	if r.Action == rules.ActionDrop && r.DropCount > WindowSize {
-		return fmt.Errorf("core: rule %d drop count %d exceeds window size %d", r.ID, r.DropCount, WindowSize)
+	if err := checkWindow(&r); err != nil {
+		return err
 	}
 	if err := r.Validate(); err != nil {
 		return err
@@ -142,15 +139,35 @@ func (e *Engine) RuleCounters(id int) (matches, fires uint64, ok bool) {
 	return 0, 0, false
 }
 
+// checkWindow enforces the datapath's vector bound, which is tighter than
+// rules.Validate's MaxCorrupt: a corrupt vector or drop count addresses the
+// newest characters of the stream and cannot reach past the compare window.
+func checkWindow(r *rules.Rule) error {
+	if len(r.CorruptData) > WindowSize {
+		return fmt.Errorf("core: rule %d corrupt vector length %d exceeds window size %d", r.ID, len(r.CorruptData), WindowSize)
+	}
+	if r.Action == rules.ActionDrop && r.DropCount > WindowSize {
+		return fmt.Errorf("core: rule %d drop count %d exceeds window size %d", r.ID, r.DropCount, WindowSize)
+	}
+	return nil
+}
+
 // SetRuleProgram installs an externally compiled program directly, bypassing
-// the per-rule AddRule path — the campaign and benchmark entry point. The
-// program's rules must respect the WindowSize vector bound; nil uninstalls.
-func (e *Engine) SetRuleProgram(p *rules.Program) {
+// the per-rule AddRule path — the campaign and benchmark entry point; nil
+// uninstalls. A program with a rule past the WindowSize vector bound is
+// rejected and the installed rule set left as it was.
+func (e *Engine) SetRuleProgram(p *rules.Program) error {
 	if p == nil {
 		e.installRules(nil, nil)
-		return
+		return nil
+	}
+	for i := range p.Rules() {
+		if err := checkWindow(p.Rule(i)); err != nil {
+			return err
+		}
 	}
 	e.installRules(append([]rules.Rule(nil), p.Rules()...), p)
+	return nil
 }
 
 // installRules swaps in a compiled rule set and arms a fresh executor.

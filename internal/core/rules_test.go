@@ -205,6 +205,43 @@ func TestEngineRuleManagement(t *testing.T) {
 	}
 }
 
+// SetRuleProgram holds compiled programs to the same window bound as
+// AddRule: rules.Validate admits vectors up to rules.MaxCorrupt, but a vector
+// longer than the compare window would index before its first slot on the
+// first match. The rejected program must leave the installed set in place.
+func TestSetRuleProgramRejectsOverlongVectors(t *testing.T) {
+	good := oneStepRule(1, 0x55, rules.ActionToggle)
+	good.CorruptData = []uint16{0x0F}
+	long := oneStepRule(2, 0x55, rules.ActionToggle)
+	long.CorruptData = make([]uint16, rules.MaxCorrupt)
+	drop := oneStepRule(3, 0x55, rules.ActionDrop)
+	drop.DropCount = WindowSize + 1
+	for _, bad := range []rules.Rule{long, drop} {
+		e := NewEngine(DefaultSlackChars)
+		gp, err := rules.Compile([]rules.Rule{good}, rules.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetRuleProgram(gp); err != nil {
+			t.Fatalf("SetRuleProgram(good): %v", err)
+		}
+		bp, err := rules.Compile([]rules.Rule{bad}, rules.Options{})
+		if err != nil {
+			t.Fatalf("rule %d: Compile: %v (Validate should admit it)", bad.ID, err)
+		}
+		if err := e.SetRuleProgram(bp); err == nil {
+			t.Fatalf("rule %d: SetRuleProgram accepted a vector past the window", bad.ID)
+		}
+		if e.RuleProgram() != gp {
+			t.Fatalf("rule %d: rejected program replaced the installed one", bad.ID)
+		}
+		out := bytesOf(runThrough(e, dataChars([]byte{0x55})))
+		if !bytes.Equal(out, []byte{0x5A}) {
+			t.Errorf("rule %d: installed toggle after rejection: out % X, want 5A", bad.ID, out)
+		}
+	}
+}
+
 func TestRuleCommands(t *testing.T) {
 	dev, dec := newTestDecoder(t)
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -9,24 +10,6 @@ import (
 // 512-symbol alphabet is a 2 MiB transition table — the upper end of what a
 // block-RAM transition ROM on the paper's FPGA class could hold.
 const DefaultMaxDFAStates = 1024
-
-// PrefilterMode selects the batch prefilter engine (see prefilter.go).
-type PrefilterMode int
-
-const (
-	// PrefilterAuto compiles a screen when it would pay: prefixes longer
-	// than one symbol and starter classes covering at most half the symbol
-	// space; it picks shift-and or the reduced prefix-DFA by size.
-	PrefilterAuto PrefilterMode = iota
-	// PrefilterOff disables the screen; StepBatch falls back to the
-	// quiet-run path.
-	PrefilterOff
-	// PrefilterShiftAnd forces the bit-parallel engine.
-	PrefilterShiftAnd
-	// PrefilterReduced forces the budgeted approximate-DFA engine (falling
-	// back to shift-and only if no truncation fits the budget).
-	PrefilterReduced
-)
 
 // Options parameterizes compilation.
 type Options struct {
@@ -37,11 +20,6 @@ type Options struct {
 	// ForceLanes skips the DFA entirely (benchmarking the fallback, or
 	// bounding memory).
 	ForceLanes bool
-	// Prefilter selects the batch screen engine; the zero value is auto.
-	Prefilter PrefilterMode
-	// PrefilterBudget bounds the reduced prefix-DFA's subset construction;
-	// zero selects DefaultPrefilterStates.
-	PrefilterBudget int
 }
 
 // nfaState is one Thompson-style state. Each state has at most one
@@ -78,8 +56,13 @@ type Program struct {
 
 	nfaStates int
 
-	// prefilter is the compiled batch screen; nil when off or judged
-	// useless (see compilePrefilter).
+	// starter is the first-step bitmap: bit s of word s/64 is set when
+	// symbol s satisfies some rule's first step — exactly the symbols on
+	// which an executor leaves its start configuration.
+	starter [SymbolSpace / 64]uint64
+
+	// prefilter is the compiled batch screen; nil when judged useless (see
+	// compilePrefilter).
 	prefilter *Prefilter
 }
 
@@ -123,7 +106,19 @@ func Compile(rs []Rule, opts Options) (*Program, error) {
 	if !opts.ForceLanes {
 		p.buildDFA(budget) // leaves dfaTable nil past the budget
 	}
-	p.prefilter = compilePrefilter(p.rules, opts)
+	for i := range p.rules {
+		first := p.rules[i].Steps[0]
+		for s := 0; s < SymbolSpace; s++ {
+			if (uint16(s)^first.Sym)&first.Mask&SymbolMask == 0 {
+				p.starter[s>>6] |= 1 << uint(s&63)
+			}
+		}
+	}
+	starters := 0
+	for _, w := range p.starter {
+		starters += bits.OnesCount64(w)
+	}
+	p.prefilter = compilePrefilter(p.rules, starters)
 	return p, nil
 }
 
@@ -268,21 +263,19 @@ func normalize(set []int32) []int32 {
 // program is left in lane mode.
 func (p *Program) buildDFA(budget int) {
 	nfa, starts := p.globalNFA()
-	table, accept, sets, ok := subsetConstruct(nfa, starts, budget)
+	table, accept, ok := subsetConstruct(nfa, starts, budget)
 	if !ok {
 		return // blown budget: stay in lane mode
 	}
-	p.dfaStates = len(sets)
+	p.dfaStates = len(accept)
 	p.dfaTable = table
 	p.dfaAccept = accept
 }
 
-// subsetConstruct determinizes an NFA under a state budget. It serves both
-// the exact rule DFA and the prefilter's reduced prefix-DFA: the returned
-// sets (the NFA members of each DFA state) let callers derive per-state
-// metadata such as the prefilter's viable-partial depth. ok is false when
-// the budget blew, with the partial results discarded.
-func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32, accept []uint64, sets [][]int32, ok bool) {
+// subsetConstruct determinizes an NFA under a state budget, returning the
+// transition table and per-state accept masks. ok is false when the budget
+// blew, with the partial results discarded.
+func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32, accept []uint64, ok bool) {
 	b := &dfaBuilder{nfa: nfa, ids: make(map[string]int32)}
 	b.intern(normalize(append([]int32(nil), starts...)))
 
@@ -338,10 +331,10 @@ func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32,
 		}
 		b.touched = b.touched[:0]
 		if len(b.sets) > budget {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 	}
-	return table, b.accept, b.sets, true
+	return table, b.accept, true
 }
 
 // NumRules returns the rule count.
@@ -357,8 +350,16 @@ func (p *Program) Rules() []Rule { return p.rules }
 // UsesDFA reports whether subset construction fit the budget.
 func (p *Program) UsesDFA() bool { return p.dfaTable != nil }
 
-// Prefilter returns the compiled batch screen, or nil when none executes
-// (mode off, or the auto heuristic judged one useless for this rule set).
+// Starter reports whether sym satisfies some rule's first step, i.e. whether
+// consuming it moves an executor out of its start configuration. The
+// injector's batch plan wakes the exact executor only on starters.
+func (p *Program) Starter(sym uint16) bool {
+	s := sym & SymbolMask
+	return p.starter[s>>6]&(1<<uint(s&63)) != 0
+}
+
+// Prefilter returns the compiled batch screen, or nil when one would not pay
+// for this rule set (see compilePrefilter).
 func (p *Program) Prefilter() *Prefilter { return p.prefilter }
 
 // Stats summarizes the compiled form.

@@ -1,7 +1,5 @@
 package rules
 
-import "math/bits"
-
 // Multi-pattern prefilter: a cheap screen compiled from every rule's literal
 // prefix, run over whole batch runs so the exact DFA/lane executor wakes only
 // around positions where some rule could actually be completing its opening
@@ -10,20 +8,13 @@ import "math/bits"
 // position it clears provably cannot complete any rule's registered prefix,
 // and therefore cannot be inside the prefix span of any accepting run.
 //
-// Two engines cover the size range:
+// The engine is bit-parallel shift-and: every deduplicated prefix gets a
+// contiguous run of bit positions, a per-symbol row table B[s] carries class
+// tokens natively (no wildcard expansion), and one masked shift per symbol
+// advances all partials at once. At most MaxRules x prefixCap = 256
+// positions, so the state is at most four words.
 //
-//   - shift-and: every deduplicated prefix gets a contiguous run of bit
-//     positions; a per-symbol row table B[s] carries class tokens natively
-//     (no wildcard expansion), and one masked shift per symbol advances all
-//     partials at once. At most MaxRules x prefixCap = 256 positions, so the
-//     state is at most four words.
-//   - reduced prefix-DFA: subset construction over the prefix-only NFA under
-//     a state budget (the "budgeted approximate-DFA reduction"), with a
-//     prefix-truncation ladder when the budget blows. One table lookup per
-//     symbol regardless of rule count.
-//
-// Soundness notes the executor relies on (see Executor.StepBatch and the
-// injector's planScan):
+// Soundness notes the injector's planScan relies on:
 //
 //   - A rule's registered prefix is its leading run of Gap==0 steps, capped
 //     at prefixCap (Validate rejects a gap before the first step, so every
@@ -45,11 +36,6 @@ const prefixCap = 4
 // pfMaxWords is the shift-and state width: MaxRules*prefixCap bit positions.
 const pfMaxWords = MaxRules * prefixCap / 64
 
-// DefaultPrefilterStates bounds the reduced prefix-DFA's subset construction;
-// small compared to the exact DFA budget because the screen only ever tracks
-// prefix progress.
-const DefaultPrefilterStates = 256
-
 // prefixToken is one prefix symbol class: matches sym when (sym^cmp)&mask==0.
 // cmp is stored pre-masked so token equality is class equality.
 type prefixToken struct {
@@ -63,21 +49,12 @@ func (t prefixToken) matches(sym uint16) bool { return (sym^t.cmp)&t.mask == 0 }
 type Prefilter struct {
 	prefixes [][]prefixToken // deduplicated, for stats and tests
 	maxLen   int
-	starter  [SymbolSpace / 64]uint64
-	starters int
 
-	// shift-and tables (always built; the fallback engine).
 	words int
 	rows  []uint64 // SymbolSpace x words, row-major by symbol
 	ini   [pfMaxWords]uint64
 	hitm  [pfMaxWords]uint64
 	depth []uint8 // bit position -> symbols consumed (1-based)
-
-	// reduced prefix-DFA tables; acTable nil selects shift-and.
-	acTable  []int32
-	acAccept []uint64
-	acDepth  []uint8
-	acStates int
 }
 
 // PrefilterStats summarizes the compiled screen.
@@ -86,16 +63,10 @@ type PrefilterStats struct {
 	// prefix (the hit-rewind distance).
 	Prefixes int
 	MaxLen   int
-	// Starters is how many of the 512 symbols can begin some prefix.
-	Starters int
 	// Words is the shift-and state width in 64-bit words; Positions the
 	// occupied bit positions.
 	Words     int
 	Positions int
-	// States is the reduced prefix-DFA size, zero when shift-and executes.
-	States int
-	// Engine is "shift-and" or "reduced-dfa".
-	Engine string
 }
 
 // extractPrefix returns a rule's literal prefix: the first step followed by
@@ -183,65 +154,29 @@ func (t *prefixTrie) collect() [][]prefixToken {
 	return out
 }
 
-// dedupePrefixes truncates every prefix to cap symbols and folds the set
-// through the trie.
-func dedupePrefixes(prefixes [][]prefixToken, limit int) [][]prefixToken {
-	t := newPrefixTrie()
-	for _, p := range prefixes {
-		if len(p) > limit {
-			p = p[:limit]
-		}
-		t.insert(p)
-	}
-	return t.collect()
-}
-
-// compilePrefilter builds the screen for a validated rule set, or returns nil
-// when the requested mode is off or the auto heuristic judges a screen
-// useless (starter classes covering most of the symbol space, or no prefix
-// longer than one symbol — the quiet-set path already handles those).
-func compilePrefilter(rs []Rule, opts Options) *Prefilter {
-	if opts.Prefilter == PrefilterOff {
+// compilePrefilter builds the screen for a validated rule set, given how many
+// of the 512 symbols can begin some rule (the program's starter count). It
+// returns nil when a screen would not pay: starters covering most of the
+// symbol space, or no prefix longer than one symbol (waking on starters
+// alone already handles those).
+func compilePrefilter(rs []Rule, starters int) *Prefilter {
+	if 2*starters > SymbolSpace {
 		return nil
 	}
-	raw := make([][]prefixToken, len(rs))
+	t := newPrefixTrie()
 	for i := range rs {
-		raw[i] = extractPrefix(&rs[i])
+		t.insert(extractPrefix(&rs[i]))
 	}
-	pf := &Prefilter{prefixes: dedupePrefixes(raw, prefixCap)}
+	pf := &Prefilter{prefixes: t.collect()}
 	for _, p := range pf.prefixes {
 		if len(p) > pf.maxLen {
 			pf.maxLen = len(p)
 		}
-		first := p[0]
-		for s := 0; s < SymbolSpace; s++ {
-			if first.matches(uint16(s)) {
-				pf.starter[s>>6] |= 1 << uint(s&63)
-			}
-		}
 	}
-	for _, w := range pf.starter {
-		pf.starters += bits.OnesCount64(w)
-	}
-	if opts.Prefilter == PrefilterAuto &&
-		(pf.maxLen < 2 || 2*pf.starters > SymbolSpace) {
+	if pf.maxLen < 2 {
 		return nil
 	}
 	pf.buildShiftAnd()
-	budget := opts.PrefilterBudget
-	if budget <= 0 {
-		budget = DefaultPrefilterStates
-	}
-	switch opts.Prefilter {
-	case PrefilterShiftAnd:
-		// shift-and only
-	case PrefilterReduced:
-		pf.buildReduced(budget)
-	default: // auto: one table load beats a multi-word shift when it fits
-		if pf.words > 2 {
-			pf.buildReduced(budget)
-		}
-	}
 	return pf
 }
 
@@ -257,8 +192,6 @@ func (pf *Prefilter) buildShiftAnd() {
 	pf.words = (total + 63) / 64
 	pf.rows = make([]uint64, SymbolSpace*pf.words)
 	pf.depth = make([]uint8, pf.words*64)
-	pf.ini = [pfMaxWords]uint64{}
-	pf.hitm = [pfMaxWords]uint64{}
 	pos := 0
 	for _, p := range pf.prefixes {
 		pf.ini[pos>>6] |= 1 << uint(pos&63)
@@ -277,86 +210,6 @@ func (pf *Prefilter) buildShiftAnd() {
 	}
 }
 
-// buildReduced subset-constructs the prefix-only NFA under the state budget,
-// walking a truncation ladder (shorter prefixes, smaller automaton) when the
-// budget blows. All-caps-blown leaves the shift-and engine in charge.
-func (pf *Prefilter) buildReduced(budget int) {
-	for limit := pf.maxLen; limit >= 1; limit-- {
-		prefixes := pf.prefixes
-		if limit < pf.maxLen {
-			prefixes = dedupePrefixes(pf.prefixes, limit)
-		}
-		nfa, starts, depths := prefixNFA(prefixes)
-		table, accept, sets, ok := subsetConstruct(nfa, starts, budget)
-		if !ok {
-			continue
-		}
-		pf.acTable = table
-		pf.acAccept = accept
-		pf.acStates = len(sets)
-		pf.acDepth = make([]uint8, len(sets))
-		for i, set := range sets {
-			var d uint8
-			for _, s := range set {
-				if depths[s] > d {
-					d = depths[s]
-				}
-			}
-			pf.acDepth[i] = d
-		}
-		if limit < pf.maxLen {
-			// The executing engine only tracks truncated prefixes; rewind
-			// and holdback distances — and the shift-and tables, should a
-			// caller inspect them — must match it.
-			pf.maxLen = limit
-			pf.prefixes = prefixes
-			pf.buildShiftAnd()
-		}
-		return
-	}
-}
-
-// prefixNFA lowers prefixes to Thompson states for subset construction: one
-// unanchored start per prefix (nfaState carries at most one consuming
-// transition) followed by its token chain; the last state accepts. depths[s]
-// is how many prefix symbols state s has consumed.
-func prefixNFA(prefixes [][]prefixToken) (nfa []nfaState, starts []int32, depths []uint8) {
-	blank := nfaState{matchNext: -1, anyNext: -1, accept: -1}
-	for _, p := range prefixes {
-		start := int32(len(nfa))
-		starts = append(starts, start)
-		s := blank
-		s.selfAny = true
-		nfa = append(nfa, s)
-		depths = append(depths, 0)
-		cur := start
-		for j, tok := range p {
-			post := blank
-			if j == len(p)-1 {
-				post.accept = 0 // any accept bit means "hit"
-			}
-			// A mask-0 token fires on any symbol — the same convention the
-			// exact NFA simulator and subset construction use.
-			nfa[cur].cmp = tok.cmp
-			nfa[cur].mask = tok.mask
-			next := int32(len(nfa))
-			nfa[cur].matchNext = next
-			nfa = append(nfa, post)
-			depths = append(depths, uint8(j+1))
-			cur = next
-		}
-	}
-	return nfa, starts, depths
-}
-
-// Starter reports whether sym can begin some rule's prefix. The injector's
-// batch plan folds this into its wake table: non-starters extend skip runs
-// even though they are not in the executor's conservative quiet set.
-func (pf *Prefilter) Starter(sym uint16) bool {
-	s := sym & SymbolMask
-	return pf.starter[s>>6]&(1<<uint(s&63)) != 0
-}
-
 // MaxLen is the longest registered prefix: the hit-rewind and buffer-tail
 // holdback distance.
 func (pf *Prefilter) MaxLen() int { return pf.maxLen }
@@ -367,17 +220,10 @@ func (pf *Prefilter) Stats() PrefilterStats {
 	for _, p := range pf.prefixes {
 		total += len(p)
 	}
-	st := PrefilterStats{
+	return PrefilterStats{
 		Prefixes:  len(pf.prefixes),
 		MaxLen:    pf.maxLen,
-		Starters:  pf.starters,
 		Words:     pf.words,
 		Positions: total,
-		Engine:    "shift-and",
 	}
-	if pf.acTable != nil {
-		st.States = pf.acStates
-		st.Engine = "reduced-dfa"
-	}
-	return st
 }

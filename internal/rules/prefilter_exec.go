@@ -16,14 +16,13 @@ const (
 	ScanHit
 )
 
-// Scanner is a resumable prefilter evaluation: a value type so callers —
-// Executor.StepBatch and the injector's planScan — keep it on the stack and
-// interleave stepping with their own per-symbol classification. The zero
-// Scanner is not usable; obtain one from NewScanner.
+// Scanner is a resumable prefilter evaluation: a value type so the
+// injector's planScan keeps it on the stack and interleaves stepping with its
+// own per-symbol classification. The zero Scanner is not usable; obtain one
+// from NewScanner.
 type Scanner struct {
 	pf *Prefilter
-	d  [pfMaxWords]uint64 // shift-and viable positions
-	st int32              // reduced prefix-DFA state
+	d  [pfMaxWords]uint64 // viable prefix positions
 }
 
 // NewScanner returns a fresh scan with no viable partials.
@@ -35,16 +34,6 @@ func (pf *Prefilter) NewScanner() Scanner { return Scanner{pf: pf} }
 func (s *Scanner) Step(sym uint16) ScanEvent {
 	sym &= SymbolMask
 	pf := s.pf
-	if pf.acTable != nil {
-		s.st = pf.acTable[int(s.st)*SymbolSpace+int(sym)]
-		if pf.acAccept[s.st] != 0 {
-			return ScanHit
-		}
-		if s.st == 0 {
-			return ScanDead
-		}
-		return ScanLive
-	}
 	// Multi-word shift-and: D' = ((D<<1) | I) & B[sym]. A bit shifted past
 	// a prefix's last position lands on the next prefix's first position,
 	// which I re-injects every step anyway, so no boundary masking.
@@ -73,9 +62,6 @@ func (s *Scanner) Step(sym uint16) ScanEvent {
 // interrupting the scan).
 func (s *Scanner) Depth() int {
 	pf := s.pf
-	if pf.acTable != nil {
-		return int(pf.acDepth[s.st])
-	}
 	max := 0
 	for w := 0; w < pf.words; w++ {
 		for d := s.d[w]; d != 0; d &= d - 1 {
@@ -85,47 +71,4 @@ func (s *Scanner) Depth() int {
 		}
 	}
 	return max
-}
-
-// ScanClean scans a run and splits it: syms[:clean] provably cannot complete
-// any rule's registered prefix — an executor in its start configuration may
-// consume them with SkipQuiet — and the next hold symbols (zero only when the
-// whole run is clean) must be stepped exactly. The split accounts for hits
-// (rewound by MaxLen()-1 so the verifying executor sees the whole prefix) and
-// for partials still viable at the end of the run (held back so a prefix
-// straddling the call boundary is verified per-symbol).
-func (pf *Prefilter) ScanClean(syms []uint16) (clean, hold int) {
-	n := len(syms)
-	i := 0
-	for i < n {
-		s := syms[i] & SymbolMask
-		if pf.starter[s>>6]&(1<<uint(s&63)) == 0 {
-			i++
-			continue
-		}
-		sc := pf.NewScanner()
-		j := i
-		live := true
-		for j < n {
-			ev := sc.Step(syms[j])
-			j++
-			if ev == ScanHit {
-				clean = j - pf.maxLen
-				if clean < 0 {
-					clean = 0
-				}
-				return clean, j - clean
-			}
-			if ev == ScanDead {
-				live = false
-				break
-			}
-		}
-		if live {
-			d := sc.Depth()
-			return n - d, d
-		}
-		i = j
-	}
-	return n, 0
 }

@@ -68,9 +68,9 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 			Step{Sym: 0x43, Mask: SymbolMask}, Step{Sym: 0x44, Mask: SymbolMask}), // subsumed by rule 0
 		pfRule(3, Step{Sym: 0x50, Mask: SymbolMask}, Step{Sym: 0x51, Mask: SymbolMask}), // distinct
 	}
-	pf := mustCompile(t, rs, Options{Prefilter: PrefilterShiftAnd}).Prefilter()
+	pf := mustCompile(t, rs, Options{}).Prefilter()
 	if pf == nil {
-		t.Fatal("forced shift-and prefilter missing")
+		t.Fatal("prefilter missing")
 	}
 	st := pf.Stats()
 	if st.Prefixes != 2 {
@@ -84,7 +84,7 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 		pfRule(0, Step{Sym: 0x41, Mask: SymbolMask}, Step{Sym: 0x42, Mask: SymbolMask}),
 		pfRule(1, Step{Sym: 0x41, Mask: 0x0FF}, Step{Sym: 0x42, Mask: SymbolMask}),
 	}
-	pf2 := mustCompile(t, rs2, Options{Prefilter: PrefilterShiftAnd}).Prefilter()
+	pf2 := mustCompile(t, rs2, Options{}).Prefilter()
 	if got := pf2.Stats().Prefixes; got != 2 {
 		t.Fatalf("distinct masked classes collapsed: prefixes = %d, want 2", got)
 	}
@@ -93,15 +93,15 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 		pfRule(0, Step{Sym: 0x141, Mask: 0x0FF}, Step{Sym: 0x42, Mask: SymbolMask}),
 		pfRule(1, Step{Sym: 0x041, Mask: 0x0FF}, Step{Sym: 0x42, Mask: SymbolMask}),
 	}
-	pf3 := mustCompile(t, rs3, Options{Prefilter: PrefilterShiftAnd}).Prefilter()
+	pf3 := mustCompile(t, rs3, Options{}).Prefilter()
 	if got := pf3.Stats().Prefixes; got != 1 {
 		t.Fatalf("mask-equivalent classes not collapsed: prefixes = %d, want 1", got)
 	}
 }
 
-// The auto heuristic declines a screen when it cannot help: single-symbol
-// prefixes (the quiet set already covers them) or starter classes covering
-// most of the symbol space; forcing an engine still compiles a correct one.
+// Compile declines a screen when it cannot help: single-symbol prefixes
+// (waking on starters already covers them) or starter classes covering most
+// of the symbol space.
 func TestPrefilterAutoDeclines(t *testing.T) {
 	wildcard := []Rule{pfRule(0,
 		Step{Sym: 0, Mask: 0}, // matches every symbol: no usable literal prefix
@@ -119,17 +119,10 @@ func TestPrefilterAutoDeclines(t *testing.T) {
 	if pf := mustCompile(t, useful, Options{}).Prefilter(); pf == nil {
 		t.Fatal("auto declined a two-symbol literal prefix")
 	}
-	// Forced engines compile even for the useless shapes and stay correct
-	// (the differential suites cover behavior; here just existence).
-	for _, mode := range []PrefilterMode{PrefilterShiftAnd, PrefilterReduced} {
-		if pf := mustCompile(t, wildcard, Options{Prefilter: mode}).Prefilter(); pf == nil {
-			t.Fatalf("forced mode %d declined to compile", mode)
-		}
-	}
 }
 
-// The starter set must contain every symbol that satisfies some rule's first
-// step — the injector's wake table treats non-starters as skippable.
+// The starter set is exactly the symbols satisfying some rule's first step —
+// the injector's wake table treats non-starters as skippable.
 func TestPrefilterStarterCoversFirstSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	buf := make([]byte, 64)
@@ -137,105 +130,95 @@ func TestPrefilterStarterCoversFirstSteps(t *testing.T) {
 		rng.Read(buf)
 		c := &byteCursor{data: buf}
 		rs := buildFuzzRules(c)
-		p, err := Compile(rs, Options{Prefilter: PrefilterShiftAnd})
+		p, err := Compile(rs, Options{})
 		if err != nil {
 			continue
 		}
-		pf := p.Prefilter()
 		for s := 0; s < SymbolSpace; s++ {
-			if pf.Starter(uint16(s)) {
-				continue
-			}
+			first := -1
 			for i := range rs {
-				first := rs[i].Steps[0]
-				if (uint16(s)^first.Sym)&first.Mask&SymbolMask == 0 {
-					t.Fatalf("case %d: symbol %#03x not a starter but satisfies rule %d's first step", caseN, s, i)
+				if st := rs[i].Steps[0]; (uint16(s)^st.Sym)&st.Mask&SymbolMask == 0 {
+					first = i
+					break
+				}
+			}
+			if got := p.Starter(uint16(s)); got != (first >= 0) {
+				t.Fatalf("case %d: Starter(%#03x) = %v, first step of rule %d matches it", caseN, s, got, first)
+			}
+		}
+	}
+}
+
+// Starter is exactly the set of symbols on which a fresh executor leaves its
+// start configuration, in both compiled forms: the injector skips
+// non-starters with SkipQuiet and wakes the executor on every starter.
+func TestStarterIsStartExit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, 64)
+	for caseN := 0; caseN < 500; caseN++ {
+		rng.Read(buf)
+		c := &byteCursor{data: buf}
+		rs := buildFuzzRules(c)
+		for _, opts := range []Options{{MaxDFAStates: 64}, {ForceLanes: true}} {
+			p, err := Compile(rs, opts)
+			if err != nil {
+				break
+			}
+			e := NewExecutor(p)
+			for s := 0; s < SymbolSpace; s++ {
+				e.Reset()
+				e.Step(uint16(s))
+				if left := !e.InStart(); left != p.Starter(uint16(s)) {
+					t.Fatalf("case %d: symbol %#03x: Starter %v, executor left start %v (dfa=%v)",
+						caseN, s, p.Starter(uint16(s)), left, p.UsesDFA())
 				}
 			}
 		}
 	}
 }
 
-// The reduced engine's truncation ladder: a budget too small for the full
-// prefix automaton shortens prefixes until it fits, keeping MaxLen and the
-// executing tables consistent; the screen stays false-positive-only either
-// way (behavioral agreement is the differential suites' job).
-func TestPrefilterReducedBudgetLadder(t *testing.T) {
-	rs := []Rule{pfRule(0,
-		Step{Sym: 0x41, Mask: SymbolMask},
-		Step{Sym: 0x42, Mask: SymbolMask},
-		Step{Sym: 0x43, Mask: SymbolMask},
-		Step{Sym: 0x44, Mask: SymbolMask})}
-	full := mustCompile(t, rs, Options{Prefilter: PrefilterReduced}).Prefilter()
-	if full.Stats().Engine != "reduced-dfa" || full.MaxLen() != 4 {
-		t.Fatalf("default budget: stats %+v, want reduced-dfa with MaxLen 4", full.Stats())
-	}
-	cut := mustCompile(t, rs, Options{Prefilter: PrefilterReduced, PrefilterBudget: 3}).Prefilter()
-	st := cut.Stats()
-	if st.Engine != "reduced-dfa" {
-		t.Fatalf("budget 3: engine %q, want reduced-dfa via truncation", st.Engine)
-	}
-	if st.States > 3 {
-		t.Fatalf("budget 3: %d states", st.States)
-	}
-	if cut.MaxLen() >= 4 || cut.MaxLen() < 1 {
-		t.Fatalf("budget 3: MaxLen %d, want truncated below 4", cut.MaxLen())
-	}
-}
-
-// ScanClean's three verdict shapes: a hit rewinds by MaxLen-1, a partial at
-// the buffer end is held back, dead partials are cleaned through.
-func TestScanCleanSplits(t *testing.T) {
-	rs := []Rule{pfRule(0,
-		Step{Sym: 0x41, Mask: SymbolMask},
-		Step{Sym: 0x42, Mask: SymbolMask})}
-	for _, mode := range []PrefilterMode{PrefilterShiftAnd, PrefilterReduced} {
-		pf := mustCompile(t, rs, Options{Prefilter: mode}).Prefilter()
-		cases := []struct {
-			name        string
-			syms        []uint16
-			clean, hold int
-		}{
-			{"all quiet", []uint16{1, 2, 3, 4}, 4, 0},
-			{"hit mid-run", []uint16{1, 2, 0x41, 0x42, 7}, 2, 2},
-			{"hit at start", []uint16{0x41, 0x42, 7}, 0, 2},
-			{"partial at end", []uint16{1, 2, 0x41}, 2, 1},
-			{"dead partial cleaned", []uint16{1, 0x41, 9, 2}, 4, 0},
-			// The first 0x41's partial died when the second arrived; the hit
-			// rewind only needs MaxLen symbols, so position 0 stays clean.
-			{"restart inside partial", []uint16{0x41, 0x41, 0x42}, 1, 2},
+// With 64 rules the shift-and state spans four words; rule 0's 3-symbol
+// prefix puts every 16th later prefix across a word boundary, so a hit there
+// needs the carry between words. Each prefix must report live partials of
+// growing depth and then exactly one hit, even after unrelated noise.
+func TestScannerCarriesAcrossWords(t *testing.T) {
+	rs := make([]Rule, MaxRules)
+	for i := range rs {
+		n := 4
+		if i == 0 {
+			n = 3
 		}
-		for _, tc := range cases {
-			clean, hold := pf.ScanClean(tc.syms)
-			if clean != tc.clean || hold != tc.hold {
-				t.Errorf("mode %d %s: ScanClean = (%d,%d), want (%d,%d)",
-					mode, tc.name, clean, hold, tc.clean, tc.hold)
+		var steps []Step
+		for j := 0; j < n; j++ {
+			// Distinct symbols per position keep every prefix distinct and
+			// stop one prefix's tail from starting another.
+			steps = append(steps, Step{Sym: uint16(j*MaxRules + i), Mask: SymbolMask})
+		}
+		rs[i] = pfRule(i, steps...)
+	}
+	pf := mustCompile(t, rs, Options{}).Prefilter()
+	if pf == nil || pf.Stats().Words != 4 {
+		t.Fatalf("64 rules: screen %+v, want 4 words", pf)
+	}
+	for i := range rs {
+		sc := pf.NewScanner()
+		for _, noise := range []uint16{0x1FF, 0x1FE, 0x1FF} {
+			if ev := sc.Step(noise); ev != ScanDead {
+				t.Fatalf("rule %d: noise symbol %#03x gave %d, want dead", i, noise, ev)
 			}
 		}
-	}
-}
-
-// A prefix straddling a StepBatch call boundary must still fire: the clean
-// split holds back live partials at the buffer end.
-func TestStepBatchPrefixAcrossChunks(t *testing.T) {
-	rs := []Rule{pfRule(0,
-		Step{Sym: 0x41, Mask: SymbolMask},
-		Step{Sym: 0x42, Mask: SymbolMask},
-		Step{Sym: 0x43, Mask: SymbolMask})}
-	for _, mode := range []PrefilterMode{PrefilterShiftAnd, PrefilterReduced} {
-		p := mustCompile(t, rs, Options{Prefilter: mode})
-		for cut := 1; cut < 3; cut++ {
-			e := NewExecutor(p)
-			stream := []uint16{7, 7, 0x41, 0x42, 0x43, 7}
-			boundary := 2 + cut // split inside the prefix
-			var fired uint64
-			fired |= e.StepBatch(stream[:boundary])
-			fired |= e.StepBatch(stream[boundary:])
-			if fired != 1 {
-				t.Fatalf("mode %d cut %d: fired %#x, want rule 0", mode, cut, fired)
+		steps := rs[i].Steps
+		for j, st := range steps {
+			ev := sc.Step(st.Sym)
+			want := ScanLive
+			if j == len(steps)-1 {
+				want = ScanHit
 			}
-			if m, _ := e.Counters(0); m != 1 {
-				t.Fatalf("mode %d cut %d: matches %d, want 1", mode, cut, m)
+			if ev != want {
+				t.Fatalf("rule %d step %d: event %d, want %d", i, j, ev, want)
+			}
+			if want == ScanLive && sc.Depth() != j+1 {
+				t.Fatalf("rule %d step %d: depth %d, want %d", i, j, sc.Depth(), j+1)
 			}
 		}
 	}
