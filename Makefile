@@ -16,6 +16,7 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
 	$(GO) test -fuzz=FuzzProcessBatch -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
 
 check:
 	sh scripts/check.sh

@@ -90,6 +90,8 @@ type FabricTestbed struct {
 	Delivered []uint64
 	Bytes     []uint64
 
+	payloads []byte // per-host send buffers, Payload bytes each
+
 	rings []*monitor.ExportRing // per host, Record only
 	flows []*monitor.FlowTable
 	logs  [][]fabricEvent
@@ -113,6 +115,7 @@ func NewFabricTestbed(cfg FabricConfig) (*FabricTestbed, error) {
 		SendErrs:  make([]uint64, hosts),
 		Delivered: make([]uint64, hosts),
 		Bytes:     make([]uint64, hosts),
+		payloads:  make([]byte, hosts*cfg.Payload),
 	}
 	if cfg.Record {
 		tb.rings = make([]*monitor.ExportRing, hosts)
@@ -213,9 +216,11 @@ func pongOpenerFire(a any) {
 
 // send builds and transmits one workload packet from src to dst. The first
 // four payload bytes carry the sequence number (flood) or remaining-hop
-// count (ping-pong); the rest is a deterministic fill pattern.
+// count (ping-pong); the rest is a deterministic fill pattern. Send copies
+// the payload, so each host reuses one buffer, touched only on its shard.
 func (tb *FabricTestbed) send(src, dst int, word uint32) {
-	p := make([]byte, tb.Cfg.Payload)
+	n := tb.Cfg.Payload
+	p := tb.payloads[src*n : (src+1)*n]
 	if len(p) >= 4 {
 		p[0], p[1], p[2], p[3] = byte(word>>24), byte(word>>16), byte(word>>8), byte(word)
 	}

@@ -40,6 +40,8 @@ const (
 	// control-symbol code ("the symbol mask we corrupted did not appear
 	// in the message itself", §4.3.1).
 	loadTagLen = 4
+	// minLoadSize is the smallest payload carrying the tag and sequence.
+	minLoadSize = loadTagLen + 5
 )
 
 var loadTag = [loadTagLen]byte{'N', 'F', 'T', 'A'}
@@ -74,7 +76,7 @@ func (tb *Testbed) StartLoad(cfg LoadConfig) *Load {
 	if cfg.Size == 0 {
 		cfg.Size = 512
 	}
-	if cfg.Size < loadTagLen+5 {
+	if cfg.Size < minLoadSize {
 		panic("campaign: load payload too small for tag+sequence")
 	}
 	l := &Load{

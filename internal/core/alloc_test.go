@@ -104,7 +104,7 @@ func TestEngineArmedZeroAlloc(t *testing.T) {
 func TestDevicePathSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
-	sink := phy.ReceiverFunc(func(chars []phy.Character) { phy.ReleaseBurst(chars) })
+	sink := phy.ReceiverFunc(func(chars []phy.Character) { phy.ReleaseBurst(k, chars) })
 	cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
 	link := phy.NewLink(k, cfg, sink)
 	dev.InsertDirection(LeftToRight, link)

@@ -177,7 +177,7 @@ func (p *devicePort) Receive(chars []phy.Character) {
 	}
 	p.deliver(eng.ProcessBatch(chars))
 	p.armFlush()
-	phy.ReleaseBurst(chars)
+	phy.ReleaseBurst(d.k, chars)
 }
 
 // deliver schedules released characters downstream at entry time plus the
@@ -195,7 +195,7 @@ func (p *devicePort) deliver(out []phy.Character) {
 	dst := p.downstream
 	k := p.dev.k
 	// out is the engine's scratch buffer, so each batch is copied into a
-	// pooled burst of its own before it enters the event queue.
+	// burst of its own from the kernel's arena before it enters the event queue.
 	for i := 0; i < len(out); {
 		j := i + 1
 		if out[i].IsData() {
@@ -207,7 +207,7 @@ func (p *devicePort) deliver(out []phy.Character) {
 		if at < now {
 			at = now
 		}
-		batch := phy.GetBurst(j - i)
+		batch := phy.GetBurst(k, j-i)
 		copy(batch, out[i:j])
 		phy.ScheduleReceive(k, at, dst, batch)
 		i = j

@@ -261,7 +261,7 @@ func (p *NPort) Receive(chars []phy.Character) {
 		// ignored.
 	}
 	// Every code group was decoded into the port's own buffers.
-	phy.ReleaseBurst(chars)
+	phy.ReleaseBurst(p.k, chars)
 }
 
 // abortFrame drops an in-progress frame (code violation mid-frame).

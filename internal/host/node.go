@@ -311,7 +311,9 @@ func (n *Node) onDatagram(src myrinet.MAC, payload []byte) {
 		n.stats.OverflowDrops++
 		return
 	}
-	n.recvq = append(n.recvq, queuedPacket{src: src, srcPort: srcPort, dstPort: dstPort, data: data})
+	// payload is the interface's reassembly buffer, valid only during this
+	// upcall: the queue keeps a copy.
+	n.recvq = append(n.recvq, queuedPacket{src: src, srcPort: srcPort, dstPort: dstPort, data: append([]byte(nil), data...)})
 	n.pumpRecv()
 }
 

@@ -7,10 +7,11 @@ import (
 	"netfi/internal/sim"
 )
 
-// nullSink absorbs the controller's transmissions and recycles the bursts.
-type nullSink struct{}
+// nullSink absorbs the controller's transmissions and recycles the bursts
+// into its kernel's arena.
+type nullSink struct{ k *sim.Kernel }
 
-func (nullSink) Receive(chars []phy.Character) { phy.ReleaseBurst(chars) }
+func (s nullSink) Receive(chars []phy.Character) { phy.ReleaseBurst(s.k, chars) }
 
 // allocTap is a minimal monitoring tap: it looks at every character without
 // retaining the slice, the contract real taps follow.
@@ -29,7 +30,7 @@ func receiveCycleController(k *sim.Kernel) *LinkController {
 		Name:       "alloc.out",
 		CharPeriod: 12_500 * sim.Picosecond,
 		PropDelay:  5 * sim.Nanosecond,
-	}, nullSink{})
+	}, nullSink{k})
 	return NewLinkController(k, LinkControllerConfig{
 		Name:     "alloc.lc",
 		Out:      out,
@@ -37,10 +38,10 @@ func receiveCycleController(k *sim.Kernel) *LinkController {
 	})
 }
 
-// runReceiveCycle delivers one pooled data burst to lc and drains the slack
+// runReceiveCycle delivers one arena data burst to lc and drains the slack
 // so watermarks never trip.
 func runReceiveCycle(k *sim.Kernel, lc *LinkController) {
-	burst := phy.GetBurst(32)
+	burst := phy.GetBurst(k, 32)
 	for i := range burst {
 		burst[i] = phy.DataChar(0x55)
 	}
@@ -56,7 +57,7 @@ func TestReceiveNoTapZeroAlloc(t *testing.T) {
 	k := sim.NewKernel(1)
 	lc := receiveCycleController(k)
 	for i := 0; i < 100; i++ {
-		runReceiveCycle(k, lc) // warm pools
+		runReceiveCycle(k, lc) // warm the arena
 	}
 	if avg := testing.AllocsPerRun(200, func() { runReceiveCycle(k, lc) }); avg != 0 {
 		t.Errorf("untapped receive cycle allocates %.2f objects/op, want 0", avg)

@@ -111,8 +111,9 @@ func TestInterfaceTruncatedPacketDropped(t *testing.T) {
 func TestInterfacePacketObserver(t *testing.T) {
 	k := sim.NewKernel(1)
 	a, b := directPair(t, k)
-	var seen []*Packet
-	b.ifc.SetPacketObserver(func(p *Packet) { seen = append(seen, p) })
+	var seen []Packet
+	// The observed packet is reused after the upcall: keep a copy.
+	b.ifc.SetPacketObserver(func(p *Packet) { seen = append(seen, *p) })
 	if err := a.ifc.Send(b.ifc.MAC(), []byte("observed")); err != nil {
 		t.Fatal(err)
 	}

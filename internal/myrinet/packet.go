@@ -71,30 +71,56 @@ type Packet struct {
 	Payload []byte
 }
 
-// Bytes returns the packet's wire bytes excluding the trailing CRC.
-func (p *Packet) Bytes() []byte {
-	out := make([]byte, 0, len(p.Route)+4+len(p.Payload))
+// Encode returns the complete wire image: route, type, payload, CRC-8.
+func (p *Packet) Encode() []byte {
+	out := make([]byte, 0, p.wireLen())
 	out = append(out, p.Route...)
 	out = append(out, byte(p.TypeHigh>>8), byte(p.TypeHigh), byte(p.Type>>8), byte(p.Type))
 	out = append(out, p.Payload...)
-	return out
+	return append(out, bitstream.CRC8(out))
 }
 
-// Encode returns the complete wire image: route, type, payload, CRC-8.
-func (p *Packet) Encode() []byte {
-	body := p.Bytes()
-	return append(body, bitstream.CRC8(body))
-}
+// wireLen is the packet's wire length in bytes, CRC-8 included.
+func (p *Packet) wireLen() int { return len(p.Route) + 4 + len(p.Payload) + 1 }
 
 // EncodeChars returns the packet as link characters followed by the
 // packet-terminating GAP control symbol, ready for transmission (Fig. 8).
 func (p *Packet) EncodeChars() []phy.Character {
-	wire := p.Encode()
-	chars := make([]phy.Character, 0, len(wire)+1)
-	for _, b := range wire {
-		chars = append(chars, phy.DataChar(b))
+	chars := make([]phy.Character, p.wireLen()+1)
+	putPacketChars(chars, p.Route, p.TypeHigh, p.Type, p.Payload)
+	return chars
+}
+
+// putPacketChars encodes a packet straight into link characters: route,
+// 4-byte type, the payload parts in order, CRC-8 and the trailing GAP.
+// dst must be exactly long enough (the wire length plus one).
+func putPacketChars(dst []phy.Character, route []byte, typeHigh, typ uint16, payload ...[]byte) {
+	w := charWriter{dst: dst}
+	w.put(route)
+	w.put([]byte{byte(typeHigh >> 8), byte(typeHigh), byte(typ >> 8), byte(typ)})
+	for _, part := range payload {
+		w.put(part)
 	}
-	return append(chars, charGap)
+	dst[w.n] = phy.DataChar(w.crc)
+	dst[w.n+1] = charGap
+}
+
+// charWriter appends bytes as data characters while running the CRC-8.
+type charWriter struct {
+	dst []phy.Character
+	n   int
+	crc byte
+}
+
+func (w *charWriter) put(b []byte) {
+	dst := w.dst[w.n : w.n+len(b)]
+	crc := w.crc
+	for i, v := range b {
+		crc = bitstream.CRC8Update(crc, v)
+		dst[i] = phy.DataChar(v)
+	}
+	w.crc = crc
+	w.n += len(b)
 }
 
 // Errors returned by Decode.
@@ -128,9 +154,13 @@ func DecodePacket(wire []byte, routeLen int) (*Packet, error) {
 // RouteTo builds the source route for a path: one switch hop byte per entry
 // in ports, then the final byte consumed by the destination interface.
 func RouteTo(ports ...int) []byte {
-	r := make([]byte, 0, len(ports)+1)
+	return AppendRoute(make([]byte, 0, len(ports)+1), ports...)
+}
+
+// AppendRoute appends RouteTo(ports...) to buf.
+func AppendRoute(buf []byte, ports ...int) []byte {
 	for _, p := range ports {
-		r = append(r, SwitchHop(p))
+		buf = append(buf, SwitchHop(p))
 	}
-	return append(r, RouteFinal)
+	return append(buf, RouteFinal)
 }

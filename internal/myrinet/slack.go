@@ -93,6 +93,49 @@ func (s *SlackBuffer) Push(c phy.Character) bool {
 	return true
 }
 
+// PushRun appends a run of characters with exactly the effect of one Push
+// per character, in order: the same push and overflow counts, the same
+// contents, and onStop fired once, right after the character that crosses
+// the high watermark (the run resumes after the callback returns). It
+// reports how many characters were accepted; the rest hit a full buffer and
+// were destroyed.
+func (s *SlackBuffer) PushRun(run []phy.Character) int {
+	accepted := 0
+	for len(run) > 0 && s.count < s.capacity {
+		n := min(len(run), s.capacity-s.count)
+		if !s.stopping {
+			// Stop at the watermark crossing so onStop sees the buffer
+			// exactly as per-character pushes would leave it.
+			n = min(n, max(s.high-s.count, 1))
+		}
+		s.pushes += uint64(n)
+		s.write(run[:n])
+		accepted += n
+		run = run[n:]
+		if s.count >= s.high && !s.stopping {
+			s.stopping = true
+			if s.onStop != nil {
+				s.onStop()
+			}
+		}
+	}
+	s.pushes += uint64(len(run))
+	s.overflow += uint64(len(run))
+	return accepted
+}
+
+// write copies run into the ring behind the buffered characters, growing
+// the ring as Push would. The caller has checked the logical capacity.
+func (s *SlackBuffer) write(run []phy.Character) {
+	for s.count+len(run) > len(s.buf) {
+		s.grow()
+	}
+	tail := (s.head + s.count) & (len(s.buf) - 1)
+	n := copy(s.buf[tail:], run)
+	copy(s.buf, run[n:])
+	s.count += len(run)
+}
+
 // Pop removes and returns the oldest character. Draining to the low
 // watermark while stopping triggers onGo.
 func (s *SlackBuffer) Pop() (phy.Character, bool) {

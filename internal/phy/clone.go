@@ -8,11 +8,11 @@ import (
 
 // Fork support (see sim/clone.go). Links are pure state plus one
 // cross-reference — the receiver — which resolves in the mapper's deferred
-// pass so wiring order never matters. A pending burst delivery clones by
-// copying its characters into a fresh pooled buffer: the old world will
-// deliver (and possibly release) the original, so the fork must not alias
-// it. Burst and delivery pools are process-global and mutex-guarded, so
-// both worlds share them safely.
+// pass so wiring order never matters. A fork owns its arena outright: the
+// cloned kernel starts with an empty one, and a pending burst delivery
+// clones by copying its characters into a buffer from that arena. The old
+// world will deliver (and possibly release) the original into its own
+// arena, so the two worlds never share a buffer or a free list.
 
 // CloneSimArg implements sim.ArgClonable for pending burst deliveries.
 func (d *delivery) CloneSimArg(m *sim.Mapper) any {
@@ -20,9 +20,10 @@ func (d *delivery) CloneSimArg(m *sim.Mapper) any {
 	if !ok {
 		panic(fmt.Sprintf("phy: fork: delivery to uncloned receiver %T", d.dst))
 	}
-	chars := GetBurst(len(d.chars))
+	k := m.Kernel()
+	chars := GetBurst(k, len(d.chars))
 	copy(chars, d.chars)
-	return &delivery{dst: dst.(Receiver), chars: chars}
+	return arenaOf(k).delivery(dst.(Receiver), chars)
 }
 
 // Clone forks the link. The receiver rebinds at Mapper.Finish, so the

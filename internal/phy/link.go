@@ -56,10 +56,11 @@ func DataChars(b []byte) []Character {
 
 // Receiver consumes characters delivered by a link. The slice is owned by
 // the receiver after the call: links never touch a delivered buffer again.
-// Delivered buffers come from the burst pool, so a receiver that is done
-// with the slice when Receive returns may hand it back with ReleaseBurst;
-// receivers that retain the slice simply keep it (the pool never reclaims a
-// buffer that was not explicitly released).
+// Delivered buffers come from a kernel's burst arena, so a receiver that is
+// done with the slice when Receive returns may hand it back with
+// ReleaseBurst, naming its own kernel (the one Receive runs on); receivers
+// that retain the slice simply keep it (an arena never reclaims a buffer
+// that was not explicitly released).
 type Receiver interface {
 	Receive(chars []Character)
 }
@@ -164,16 +165,16 @@ func (l *Link) Send(chars []Character) sim.Time {
 	if len(chars) == 0 {
 		return l.k.Now()
 	}
-	burst := GetBurst(len(chars))
+	burst := GetBurst(l.k, len(chars))
 	copy(burst, chars)
 	return l.sendOwned(burst)
 }
 
-// sendOwned queues a burst the link already owns (a pooled copy).
+// sendOwned queues a burst the link already owns (a copy from its arena).
 func (l *Link) sendOwned(burst []Character) sim.Time {
 	if l.severed {
 		l.severedChars += uint64(len(burst))
-		ReleaseBurst(burst)
+		ReleaseBurst(l.k, burst)
 		return l.k.Now()
 	}
 	start := l.k.Now()
@@ -203,7 +204,7 @@ func (l *Link) SendPriority(chars []Character) sim.Time {
 	if len(chars) == 0 {
 		return l.k.Now()
 	}
-	burst := GetBurst(len(chars))
+	burst := GetBurst(l.k, len(chars))
 	copy(burst, chars)
 	return l.sendPriorityOwned(burst)
 }
@@ -211,7 +212,7 @@ func (l *Link) SendPriority(chars []Character) sim.Time {
 func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 	if l.severed {
 		l.severedChars += uint64(len(burst))
-		ReleaseBurst(burst)
+		ReleaseBurst(l.k, burst)
 		return l.k.Now()
 	}
 	arrival := l.k.Now() + sim.Duration(len(burst))*l.charPeriod + l.propDelay
@@ -229,14 +230,14 @@ func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 // flow-control symbols (STOP/GO/GAP) dominate link traffic, so this path
 // must not allocate.
 func (l *Link) SendOne(c Character) sim.Time {
-	burst := GetBurst(1)
+	burst := GetBurst(l.k, 1)
 	burst[0] = c
 	return l.sendOwned(burst)
 }
 
 // SendPriorityOne is SendOne with SendPriority's preemption semantics.
 func (l *Link) SendPriorityOne(c Character) sim.Time {
-	burst := GetBurst(1)
+	burst := GetBurst(l.k, 1)
 	burst[0] = c
 	return l.sendPriorityOwned(burst)
 }

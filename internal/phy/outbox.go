@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"sync/atomic"
-
-	"netfi/internal/sim"
-)
+import "netfi/internal/sim"
 
 // Cross-shard delivery channels. A sharded fabric replaces a cross-shard
 // cable's direct kernel scheduling with a ChannelEnd sink: the sending
@@ -43,24 +39,16 @@ type Delivery struct {
 
 // Outbox buffers deliveries originating from one shard between barriers.
 // Only that shard's goroutine appends to it during a window; the barrier
-// handoff publishes it to the coordinator. An Outbox belongs to an
-// ExchangeSet, whose shared counter it bumps on the empty -> non-empty
-// transition so the coordinator can skip barriers with no traffic.
+// handoff publishes it to the coordinator.
 type Outbox struct {
-	pending  []Delivery
-	nonEmpty *atomic.Int32
-	slack    int // consecutive exchanges that used < 1/4 of capacity
+	pending []Delivery
+	slack   int // consecutive exchanges that used < 1/4 of capacity
 }
 
 // Len reports the number of buffered deliveries.
 func (o *Outbox) Len() int { return len(o.pending) }
 
-func (o *Outbox) push(d Delivery) {
-	if len(o.pending) == 0 && o.nonEmpty != nil {
-		o.nonEmpty.Add(1)
-	}
-	o.pending = append(o.pending, d)
-}
+func (o *Outbox) push(d Delivery) { o.pending = append(o.pending, d) }
 
 // drain moves the buffered deliveries into all, clears the backing array's
 // pointers for the garbage collector, and applies the shrink policy: a
@@ -136,21 +124,17 @@ func (d *DirectEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) {
 	d.seq++
 }
 
-// ExchangeSet owns one outbox per shard and drains them at barriers. The
-// non-empty counter lets Exchange return without touching any outbox when
-// no shard buffered anything since the last barrier — the common case on
-// windows that carried only intra-shard traffic.
+// ExchangeSet owns one outbox per shard and drains them at barriers.
 type ExchangeSet struct {
-	boxes    []*Outbox
-	nonEmpty atomic.Int32
-	scratch  []Delivery
+	boxes   []*Outbox
+	scratch []Delivery
 }
 
 // NewExchangeSet returns a set with one empty outbox per shard.
 func NewExchangeSet(shards int) *ExchangeSet {
 	s := &ExchangeSet{boxes: make([]*Outbox, shards)}
 	for i := range s.boxes {
-		s.boxes[i] = &Outbox{nonEmpty: &s.nonEmpty}
+		s.boxes[i] = &Outbox{}
 	}
 	return s
 }
@@ -164,12 +148,9 @@ func (s *ExchangeSet) Box(i int) *Outbox { return s.boxes[i] }
 // arrival must be at or after its destination kernel's clock (the
 // conservative window horizons guarantee this; the kernel panics
 // otherwise). Injection needs no sort: the (rank, seq) stamps order the
-// events inside each kernel.
+// events inside each kernel. Each delivery record comes from its destination
+// kernel's arena, which only the barrier makes safe to touch from here.
 func (s *ExchangeSet) Exchange() int {
-	if s.nonEmpty.Load() == 0 {
-		return 0
-	}
-	s.nonEmpty.Store(0)
 	all := s.scratch[:0]
 	for _, b := range s.boxes {
 		all = b.drain(all)

@@ -15,12 +15,12 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	set := NewExchangeSet(2)
 	endA := NewChannelEnd(set.Box(0), k, 2)
 	endB := NewChannelEnd(set.Box(1), k, 3)
-	sink := &releasingSink{}
+	sink := &releasingSink{k: k}
 	cycle := func() {
 		base := k.Now()
 		for i := 0; i < 8; i++ {
-			endA.Deliver(base+sim.Time(i+1), sink, GetBurst(16))
-			endB.Deliver(base+sim.Time(i+1), sink, GetBurst(16))
+			endA.Deliver(base+sim.Time(i+1), sink, GetBurst(k, 16))
+			endB.Deliver(base+sim.Time(i+1), sink, GetBurst(k, 16))
 		}
 		if n := set.Exchange(); n != 16 {
 			t.Fatalf("exchange moved %d deliveries, want 16", n)
@@ -38,8 +38,8 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The empty fast path must not touch any outbox: with nothing buffered,
-// Exchange is one atomic load.
+// The empty path is every barrier on a window that carried only intra-shard
+// traffic: with nothing buffered, Exchange must not allocate.
 func TestExchangeEmptySkip(t *testing.T) {
 	set := NewExchangeSet(4)
 	if avg := testing.AllocsPerRun(100, func() {
@@ -58,11 +58,11 @@ func TestOutboxShrinksAfterBurst(t *testing.T) {
 	k := sim.NewKernel(1)
 	set := NewExchangeSet(1)
 	end := NewChannelEnd(set.Box(0), k, 0)
-	sink := &releasingSink{}
+	sink := &releasingSink{k: k}
 	deliver := func(n int) {
 		base := k.Now()
 		for i := 0; i < n; i++ {
-			end.Deliver(base+sim.Time(i+1), sink, GetBurst(16))
+			end.Deliver(base+sim.Time(i+1), sink, GetBurst(k, 16))
 		}
 		set.Exchange()
 		k.Run()
@@ -89,16 +89,16 @@ func TestDirectEndOrdering(t *testing.T) {
 	tag := func(id int) Receiver {
 		return ReceiverFunc(func(chars []Character) {
 			order = append(order, id)
-			ReleaseBurst(chars)
+			ReleaseBurst(k, chars)
 		})
 	}
 	at := sim.Time(100)
 	hi := NewDirectEnd(k, 9)
 	lo := NewDirectEnd(k, 4)
 	k.At(at, func() { order = append(order, 99) }) // local: fires after externals
-	hi.Deliver(at, tag(2), GetBurst(8))
-	hi.Deliver(at, tag(3), GetBurst(8)) // same rank: seq breaks the tie
-	lo.Deliver(at, tag(1), GetBurst(8))
+	hi.Deliver(at, tag(2), GetBurst(k, 8))
+	hi.Deliver(at, tag(3), GetBurst(k, 8)) // same rank: seq breaks the tie
+	lo.Deliver(at, tag(1), GetBurst(k, 8))
 	k.Run()
 	want := []int{1, 2, 3, 99}
 	if len(order) != len(want) {

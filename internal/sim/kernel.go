@@ -201,6 +201,10 @@ type Kernel struct {
 	curPos   int
 
 	free *event // recycled event structs
+
+	// local is the kernel-local value of a package layered on the kernel
+	// (phy keeps its burst arena here). A clone starts without one.
+	local any
 }
 
 // NewKernel returns a kernel with its clock at zero and a random source
@@ -245,6 +249,16 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
+
+// Local returns the value installed with SetLocal, or nil. Packages layered
+// on the kernel keep per-kernel state there that must never be shared
+// between kernels: phy keeps its burst arena in it. Only the goroutine
+// running the kernel may touch it, or a coordinator while the kernel is
+// parked at a barrier. A cloned kernel starts without one.
+func (k *Kernel) Local() any { return k.local }
+
+// SetLocal installs the kernel-local value; see Local.
+func (k *Kernel) SetLocal(v any) { k.local = v }
 
 // Processed reports how many events have been executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
