@@ -276,3 +276,50 @@ func TestLinkControllerStopGoCounters(t *testing.T) {
 	}
 	_ = k
 }
+
+// A long transmit queue drains in FIFO order, and refilling it as it drains
+// reuses the backing array instead of growing it without bound.
+func TestLinkControllerQueueFIFOUnderSteadyBacklog(t *testing.T) {
+	k := sim.NewKernel(1)
+	ep := newTestEndpoint(t, k, "a")
+	const backlog, total = 300, 3000
+	var done []int
+	next := 0
+	var enqueue func()
+	enqueue = func() {
+		id := next
+		next++
+		ep.lc.EnqueuePacket(packetChars(4), func(terminated bool) {
+			if terminated {
+				t.Errorf("packet %d terminated", id)
+			}
+			done = append(done, id)
+			if next < total {
+				enqueue()
+			}
+		})
+	}
+	for i := 0; i < backlog; i++ {
+		enqueue()
+	}
+	maxCap := 0
+	for k.Step() {
+		if c := cap(ep.lc.txq); c > maxCap {
+			maxCap = c
+		}
+	}
+	if len(done) != total {
+		t.Fatalf("completed %d packets, want %d", len(done), total)
+	}
+	for i, id := range done {
+		if id != i {
+			t.Fatalf("completion %d was packet %d: queue not FIFO", i, id)
+		}
+	}
+	if maxCap > 4*backlog {
+		t.Errorf("queue backing array grew to %d entries for a backlog of %d", maxCap, backlog)
+	}
+	if ep.lc.QueuedPackets() != 0 || ep.lc.txHead != 0 || len(ep.lc.txq) != 0 {
+		t.Errorf("drained queue left len %d head %d", len(ep.lc.txq), ep.lc.txHead)
+	}
+}
