@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench fuzz check
+.PHONY: all build test bench fuzz check same-output
 
 all: build
 
@@ -20,3 +20,9 @@ fuzz:
 
 check:
 	sh scripts/check.sh
+
+# Output-identity gate: netfi's deterministic reports must match BASE's
+# byte for byte (default: the last commit).
+BASE ?= HEAD
+same-output:
+	sh scripts/sameoutput.sh $(BASE)

@@ -7,16 +7,14 @@ import (
 	"netfi/internal/campaign"
 	"netfi/internal/monitor"
 	"netfi/internal/sim"
-	"netfi/internal/topo"
 )
 
 // The -json views: durations render as milliseconds so consumers never need
 // the simulator's time base.
 
-type jsonTrial struct {
-	ID             int     `json:"id"`
-	Family         string  `json:"family"`
-	Outcome        string  `json:"outcome"`
+// jsonOutcome is the outcome, counter and detection block every trial view
+// shares.
+type jsonOutcome struct {
 	Sent           int     `json:"sent"`
 	Delivered      uint64  `json:"delivered"`
 	Retransmits    uint64  `json:"retransmits"`
@@ -24,11 +22,18 @@ type jsonTrial struct {
 	RecoveryEvents uint64  `json:"recovery_events"`
 	Injections     uint64  `json:"injections"`
 	HeldOutputs    int     `json:"held_outputs"`
-	InjectedAtMs   float64 `json:"injected_at_ms"` // -1: rule never fired
+	InjectedAtMs   float64 `json:"injected_at_ms"` // -1: no fault landed
 	Detected       bool    `json:"detected"`
 	DetectLatMs    float64 `json:"detect_latency_ms"` // -1: undetected
 	DetectSource   string  `json:"detect_source,omitempty"`
 	FlowsExported  uint64  `json:"flows_exported"`
+}
+
+type jsonTrial struct {
+	ID      int    `json:"id"`
+	Family  string `json:"family"`
+	Outcome string `json:"outcome"`
+	jsonOutcome
 }
 
 type jsonDetection struct {
@@ -54,25 +59,14 @@ type jsonResilience struct {
 }
 
 type jsonChaosTrial struct {
-	ID             int     `json:"id"`
-	Plan           string  `json:"plan"`
-	K              int     `json:"k"`
-	Outcome        string  `json:"outcome"`
-	Quiesce        string  `json:"quiesce,omitempty"`
-	ElapsedMs      float64 `json:"elapsed_ms"`
-	Sent           int     `json:"sent"`
-	Delivered      uint64  `json:"delivered"`
-	Retransmits    uint64  `json:"retransmits"`
-	GaveUp         uint64  `json:"gave_up"`
-	RecoveryEvents uint64  `json:"recovery_events"`
-	Injections     uint64  `json:"injections"`
-	HeldOutputs    int     `json:"held_outputs"`
-	InjectedAtMs   float64 `json:"injected_at_ms"` // -1: no fault became observable
-	Detected       bool    `json:"detected"`
-	DetectLatMs    float64 `json:"detect_latency_ms"` // -1: undetected
-	DetectSource   string  `json:"detect_source,omitempty"`
-	FlowsExported  uint64  `json:"flows_exported"`
-	Error          string  `json:"error,omitempty"`
+	ID        int     `json:"id"`
+	Plan      string  `json:"plan"`
+	K         int     `json:"k"`
+	Outcome   string  `json:"outcome"`
+	Quiesce   string  `json:"quiesce,omitempty"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+	jsonOutcome
+	Error string `json:"error,omitempty"`
 }
 
 type jsonChaos struct {
@@ -175,33 +169,52 @@ func ms(d sim.Duration) float64 {
 	return d.Seconds() * 1000
 }
 
-func viewSweep(trials []campaign.ResilienceTrial) jsonSweep {
-	sw := jsonSweep{Tally: map[string]int{}}
-	for _, t := range trials {
-		jt := jsonTrial{
-			ID: t.ID, Family: t.Family, Outcome: string(t.Outcome),
-			Sent: t.Sent, Delivered: t.Delivered, Retransmits: t.Retransmits,
-			GaveUp: t.GaveUp, RecoveryEvents: t.RecoveryEvents,
-			Injections: t.Injections, HeldOutputs: t.HeldOutputs,
-			InjectedAtMs: ms(t.InjectedAt), Detected: t.Detected,
-			DetectLatMs: -1, DetectSource: t.DetectSource,
-			FlowsExported: t.FlowsExported,
-		}
-		if t.Detected {
-			jt.DetectLatMs = ms(t.DetectLatency)
-		}
-		sw.Trials = append(sw.Trials, jt)
-		sw.Tally[string(t.Outcome)]++
+func viewOutcome(r campaign.TrialResult) jsonOutcome {
+	v := jsonOutcome{
+		Sent: r.Sent, Delivered: r.Delivered, Retransmits: r.Retransmits,
+		GaveUp: r.GaveUp, RecoveryEvents: r.RecoveryEvents,
+		Injections: r.Injections, HeldOutputs: r.HeldOutputs,
+		InjectedAtMs: ms(r.InjectedAt), Detected: r.Detected,
+		DetectLatMs: -1, DetectSource: r.DetectSource,
+		FlowsExported: r.FlowsExported,
 	}
-	det := campaign.ComputeDetection(trials)
-	sw.Detection = jsonDetection{
+	if r.Detected {
+		v.DetectLatMs = ms(r.DetectLatency)
+	}
+	return v
+}
+
+func viewTally(counts map[campaign.TrialOutcome]int) map[string]int {
+	m := map[string]int{}
+	for o, n := range counts {
+		m[string(o)] = n
+	}
+	return m
+}
+
+func viewDetection(det campaign.DetectionStats) jsonDetection {
+	v := jsonDetection{
 		Injected: det.Injected, NonMasked: det.NonMasked,
 		Detected: det.Detected, DetectedNonMasked: det.DetectedNonMasked,
 		Coverage:     det.CoverageNonMasked(),
 		LatencyCDFMs: []float64{},
 	}
 	for _, l := range det.Latencies {
-		sw.Detection.LatencyCDFMs = append(sw.Detection.LatencyCDFMs, ms(l))
+		v.LatencyCDFMs = append(v.LatencyCDFMs, ms(l))
+	}
+	return v
+}
+
+func viewSweep(trials []campaign.ResilienceTrial) jsonSweep {
+	sw := jsonSweep{
+		Tally:     viewTally(campaign.CountOutcomes(trials)),
+		Detection: viewDetection(campaign.ComputeDetection(trials)),
+	}
+	for _, t := range trials {
+		sw.Trials = append(sw.Trials, jsonTrial{
+			ID: t.ID, Family: t.Family, Outcome: string(t.Outcome),
+			jsonOutcome: viewOutcome(t.TrialResult),
+		})
 	}
 	return sw
 }
@@ -209,39 +222,22 @@ func viewSweep(trials []campaign.ResilienceTrial) jsonSweep {
 func viewChaos(res campaign.ChaosResult) jsonChaos {
 	v := jsonChaos{
 		Section: "chaos", Seed: res.Seed, Forks: res.Forks, MaxK: res.MaxK,
-		Trials: []jsonChaosTrial{}, Tally: map[string]int{}, PerK: map[string]map[string]int{},
+		Trials:    []jsonChaosTrial{},
+		Tally:     viewTally(campaign.CountOutcomes(res.Trials)),
+		PerK:      map[string]map[string]int{},
+		Detection: viewDetection(campaign.ComputeDetection(res.Trials)),
 	}
 	for _, t := range res.Trials {
-		jt := jsonChaosTrial{
+		v.Trials = append(v.Trials, jsonChaosTrial{
 			ID: t.ID, Plan: t.Plan, K: t.K, Outcome: string(t.Outcome),
 			Quiesce: t.Quiesce, ElapsedMs: ms(t.Elapsed),
-			Sent: t.Sent, Delivered: t.Delivered, Retransmits: t.Retransmits,
-			GaveUp: t.GaveUp, RecoveryEvents: t.RecoveryEvents,
-			Injections: t.Injections, HeldOutputs: t.HeldOutputs,
-			InjectedAtMs: ms(t.InjectedAt), Detected: t.Detected,
-			DetectLatMs: -1, DetectSource: t.DetectSource,
-			FlowsExported: t.FlowsExported, Error: t.Err,
-		}
-		if t.Detected {
-			jt.DetectLatMs = ms(t.DetectLatency)
-		}
-		v.Trials = append(v.Trials, jt)
-		v.Tally[string(t.Outcome)]++
+			jsonOutcome: viewOutcome(t.TrialResult), Error: t.Err,
+		})
 		k := fmt.Sprintf("%d", t.K)
 		if v.PerK[k] == nil {
 			v.PerK[k] = map[string]int{}
 		}
 		v.PerK[k][string(t.Outcome)]++
-	}
-	det := campaign.ComputeChaosDetection(res.Trials)
-	v.Detection = jsonDetection{
-		Injected: det.Injected, NonMasked: det.NonMasked,
-		Detected: det.Detected, DetectedNonMasked: det.DetectedNonMasked,
-		Coverage:     det.CoverageNonMasked(),
-		LatencyCDFMs: []float64{},
-	}
-	for _, l := range det.Latencies {
-		v.Detection.LatencyCDFMs = append(v.Detection.LatencyCDFMs, ms(l))
 	}
 	return v
 }
@@ -302,14 +298,7 @@ func jsonReport(name string, o expOpts) (string, error) {
 	case "chaos":
 		v = viewChaos(campaign.RunChaos(chaosOptions(o)))
 	case "fabric":
-		res, err := campaign.RunFabric(campaign.FabricConfig{
-			Topo: topo.Config{
-				Switches: o.switches,
-				Hosts:    o.hosts,
-				Shards:   o.shards,
-				Seed:     o.seed,
-			},
-		})
+		res, err := runFabric(o)
 		if err != nil {
 			return "", err
 		}

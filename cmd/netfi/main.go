@@ -46,6 +46,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -95,6 +96,10 @@ func run(args []string) int {
 		if err := fs.Parse(rest[1:]); err != nil {
 			return 2
 		}
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "netfi: -scale must be positive and finite, not %v\n", *scale)
+		return 2
 	}
 	if len(rest) < 1 || fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <table1|table2|table4|sec431|sec432|sec433|sec434|passthrough|multirule|resilience|monitor|chaos|fabric|all>")
@@ -147,7 +152,6 @@ func run(args []string) int {
 		"resilience":  resilience,
 		"monitor":     monitorSection,
 		"chaos":       chaosSection,
-		"fabric":      fabricSection,
 	}
 	name := rest[0]
 	if *jsonOut {
@@ -178,6 +182,15 @@ func run(args []string) int {
 			fmt.Fprintf(&b, "==== %s ====\n%s\n", n, reports[i])
 		}
 		fmt.Print(b.String())
+		return 0
+	}
+	if name == "fabric" {
+		res, err := runFabric(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "netfi: %v\n", err)
+			return 2
+		}
+		fmt.Print(fabricReport(res, opts.stats))
 		return 0
 	}
 	cmd, ok := cmds[name]
@@ -276,11 +289,11 @@ func chaosSection(o expOpts) string {
 		campaign.FormatChaos(res)
 }
 
-// fabricSection runs one sharded-fabric flood to quiescence. The topology
+// runFabric runs one sharded-fabric flood to quiescence. The topology
 // shape comes from the fabric flags, not -scale: a fabric's cost grows with
 // switches*hosts, which the flags express directly.
-func fabricSection(o expOpts) string {
-	res, err := campaign.RunFabric(campaign.FabricConfig{
+func runFabric(o expOpts) (campaign.FabricResult, error) {
+	return campaign.RunFabric(campaign.FabricConfig{
 		Topo: topo.Config{
 			Switches: o.switches,
 			Hosts:    o.hosts,
@@ -288,12 +301,12 @@ func fabricSection(o expOpts) string {
 			Seed:     o.seed,
 		},
 	})
-	if err != nil {
-		return fmt.Sprintf("fabric: %v\n", err)
-	}
+}
+
+func fabricReport(res campaign.FabricResult, stats bool) string {
 	out := "Sharded fabric: parallel per-core event kernels, adaptive conservative lookahead\n" +
 		campaign.FormatFabric(res)
-	if o.stats {
+	if stats {
 		out += campaign.FormatFabricStats(res)
 	}
 	return out

@@ -12,6 +12,23 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-not-a-flag"}); code != 2 {
 		t.Errorf("bad flag -> %d, want 2", code)
 	}
+	// Bad input at the fabric and scale boundaries is a usage error, in
+	// text mode as in -json mode, never a panic or a clean exit.
+	for _, args := range [][]string{
+		{"-switches", "1", "-hosts", "1", "fabric"},
+		{"-switches", "0", "fabric"},
+		{"-json", "-switches", "0", "fabric"},
+		{"-scale", "-1", "chaos"},
+		{"-scale", "-1", "table2"},
+		{"-scale", "0", "table1"},
+		{"-scale", "NaN", "table1"},
+		{"-scale", "+Inf", "table1"},
+		{"table1", "-scale", "-1"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("%v -> %d, want 2", args, code)
+		}
+	}
 }
 
 func TestRunJSON(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"netfi/internal/host"
 	"netfi/internal/monitor"
 	"netfi/internal/myrinet"
+	"netfi/internal/phy"
 	"netfi/internal/sim"
 )
 
@@ -91,29 +92,13 @@ func (p ForkPlan) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// ChaosTrial is one fork's run and triage. The detection axis mirrors
-// ResilienceTrial: InjectedAt is the first fault's observable onset.
+// ChaosTrial is one fork's run and triage. InjectedAt is the first fault's
+// observable onset.
 type ChaosTrial struct {
-	ID      int
-	Plan    string
-	K       int
-	Outcome TrialOutcome
-	Quiesce string
-	Elapsed sim.Duration
-
-	Sent           int
-	Delivered      uint64
-	Retransmits    uint64
-	GaveUp         uint64
-	RecoveryEvents uint64
-	Injections     uint64
-	HeldOutputs    int
-
-	InjectedAt    sim.Duration // first fault onset; -1 when none landed
-	Detected      bool
-	DetectLatency sim.Duration
-	DetectSource  string
-	FlowsExported uint64
+	ID   int
+	Plan string
+	K    int
+	TrialResult
 
 	// Err carries a panic surfaced by the worker pool's fault isolation;
 	// Outcome is OutcomeError and every other field is zero.
@@ -123,15 +108,6 @@ type ChaosTrial struct {
 	// compares (counters, event log, flow records, kernel clock).
 	Fingerprint string
 }
-
-// Chaos-specific outcome classes beyond the resilience triage.
-const (
-	// OutcomeWallClock — the per-fork real-time escape hatch tripped;
-	// the result is timing-dependent and reported apart.
-	OutcomeWallClock TrialOutcome = "wallclock"
-	// OutcomeError — the trial panicked; see ChaosTrial.Err.
-	OutcomeError TrialOutcome = "error"
-)
 
 // ChaosOptions parameterizes a sweep.
 type ChaosOptions struct {
@@ -228,11 +204,10 @@ func GenerateForkPlans(opts ChaosOptions) []ForkPlan {
 // kernel is paused at the fork point with only trampoline-form events
 // pending, so Clone never trips the closure-discipline check.
 type chaosBase struct {
-	tb    *Testbed
-	mon   *monitor.Plane
-	rels  []*host.Reliable
-	hbs   []*host.Heartbeat
-	start sim.Time // fork point == trial start
+	tb   *Testbed
+	mon  *monitor.Plane
+	rels []*host.Reliable
+	hbs  []*host.Heartbeat
 }
 
 // newChaosBase builds and warms one testbed: recovery armed, injector
@@ -243,14 +218,7 @@ type chaosBase struct {
 // every fork.
 func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{
-		Seed: seed,
-		Recovery: myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		},
-	})
+	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: trialRecovery})
 	tb.Configure("DIR L")
 	if opts.ArmedRules {
 		// Pre-armed rules: the ONCE toggle corrupts one warm payload byte
@@ -267,65 +235,21 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 			"RULE ADD 63 ACT CAP PAT 3A 3B",
 		)
 	}
-
-	rels := make([]*host.Reliable, len(tb.Nodes))
-	for i, n := range tb.Nodes {
-		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-			InitialRTO: 40 * sim.Millisecond,
-			MaxRTO:     80 * sim.Millisecond,
-			MaxRetries: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rels[i] = r
-	}
+	rels := newEndpoints(tb)
 
 	span := sim.Duration(opts.Messages-1) * opts.Gap
 	horizon := tb.K.Now() + sim.Time(chaosWarm+span+opts.Gap+80*sim.Millisecond)
-
-	mon := monitor.NewPlane(tb.K, monitor.Config{
-		SampleInterval: sim.Millisecond,
-		FlowIdle:       25 * sim.Millisecond,
-	})
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		if tb.Switch.Attached(p) {
-			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
-		}
-	}
-	var beat []int
-	for i := range tb.Nodes {
-		if i != 0 && len(beat) < 2 {
-			beat = append(beat, i)
-		}
-	}
-	var hbs []*host.Heartbeat
-	if len(beat) == 2 {
-		a, b := beat[0], beat[1]
-		for _, i := range beat {
-			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
-				panic(err)
-			}
-		}
-		ha := host.NewHeartbeat(tb.K, tb.Nodes[a], host.HeartbeatConfig{Dst: NodeMAC(b), Until: horizon})
-		hb := host.NewHeartbeat(tb.K, tb.Nodes[b], host.HeartbeatConfig{Dst: NodeMAC(a), Until: horizon})
-		ha.Start()
-		hb.Start()
-		hbs = append(hbs, ha, hb)
-	}
-	mon.SetStopAt(horizon)
-	mon.Start()
+	mon, hbs := armPlane(tb, horizon)
 
 	// Warm traffic: one message from the tapped node to each peer, fully
 	// drained, so every fork starts with calibrated RTTs and warm caches.
-	payload := chaosPayload()
+	payload := trialPayload()
 	for i := 1; i < len(tb.Nodes); i++ {
 		rels[0].Send(NodeMAC(i), payload)
 	}
 	tb.K.RunFor(chaosWarm)
 
-	return &chaosBase{tb: tb, mon: mon, rels: rels, hbs: hbs, start: tb.K.Now()}
+	return &chaosBase{tb: tb, mon: mon, rels: rels, hbs: hbs}
 }
 
 // fork deep-copies the base into an independent world: phase 1 clones the
@@ -348,15 +272,7 @@ func (b *chaosBase) fork() (*chaosBase, error) {
 	if err := m.Finish(); err != nil {
 		return nil, err
 	}
-	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2, start: b.start}, nil
-}
-
-func chaosPayload() []byte {
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-	return payload
+	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2}, nil
 }
 
 // runChaosTrial applies one plan to a ready world (a fork, or a freshly
@@ -365,51 +281,17 @@ func chaosPayload() []byte {
 // whichever world runs, so both paths arm them exactly once.
 func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	opts.fillDefaults()
-	tb, mon, rel := b.tb, b.mon, b.rels[0]
-	tr := ChaosTrial{
-		ID:         plan.ID,
-		Plan:       plan.String(),
-		K:          plan.K(),
-		Sent:       opts.Messages,
-		InjectedAt: -1,
-	}
-
-	mon.AddLossProbe("net.drops", func() uint64 {
-		var n uint64
-		for p := 0; p < tb.Switch.Ports(); p++ {
-			n += tb.Switch.PortCounters(p).TotalDrops()
-		}
-		for _, nd := range tb.Nodes {
-			n += nd.Interface().Counters().TotalDrops()
-		}
-		return n
-	})
-	mon.AddCounterProbe("net.recovery", "recovery", func() uint64 {
-		return recoveryEventCount(tb)
-	})
-	mon.AddWedgeProbe("sw0.held", func() int { return tb.Switch.HeldOutputs() })
+	tb, rel := b.tb, b.rels[0]
+	tr := ChaosTrial{ID: plan.ID, Plan: plan.String(), K: plan.K()}
+	tr.Sent = opts.Messages
 
 	// First observable fault onset: node deaths and severs mark at their
 	// scheduled instant, corrupt rules when the injector actually fires.
-	var faultAt sim.Time
-	faultSeen := false
-	mark := func() {
-		if !faultSeen {
-			faultSeen = true
-			faultAt = tb.K.Now()
-		}
-	}
-	tb.Injector.Engine(DirOutbound).SetInjectionHook(mark)
-	tb.Injector.Engine(DirInbound).SetInjectionHook(mark)
-
-	// Baselines: forks inherit the warm phase's counters.
+	run := startTrial(tb, b.mon)
+	// Baseline: forks inherit the warm phase's transport counters.
 	rel0 := rel.Stats()
-	recovery0 := recoveryEventCount(tb)
-	flows0 := mon.Ring().Exported()
-	injections0 := tb.Injections()
 
 	for _, f := range plan.Faults {
-		f := f
 		switch f.Kind {
 		case FaultNodeDeath:
 			node := tb.Nodes[f.Node]
@@ -417,13 +299,13 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 			tb.K.After(f.Delay, func() {
 				node.Kill()
 				cable.Sever()
-				mark()
+				run.mark()
 			})
 		case FaultLinkSever:
 			cable := tb.Net.Cables[tb.Nodes[f.Node].Name()]
 			tb.K.After(f.Delay, func() {
 				cable.Sever()
-				mark()
+				run.mark()
 			})
 		case FaultWatchdogOff:
 			tb.K.After(f.Delay, func() {
@@ -435,29 +317,14 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		}
 	}
 
-	payload := chaosPayload()
+	payload := trialPayload()
 	for i := 0; i < opts.Messages; i++ {
 		dst := NodeMAC(1 + i%(chaosNodes-1))
 		tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
 	}
 
-	res := tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress: func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		},
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-		WallClock:  opts.WallClock,
-	})
-	tr.Quiesce = res.Outcome()
-	tr.Elapsed = res.Elapsed
-	tr.RecoveryEvents = recoveryEventCount(tb) - recovery0
-	tr.HeldOutputs = tb.Switch.HeldOutputs()
-	tr.Injections = tb.Injections() - injections0
-
-	mon.Stop()
-	tr.FlowsExported = mon.Ring().Exported() - flows0
+	res := run.run(reliableProgress(tb, rel), opts.WallClock)
+	run.finish(&tr.TrialResult, res)
 
 	s := rel.Stats()
 	accepted := s.Sent - rel0.Sent
@@ -475,29 +342,13 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		// forever-held path (a disabled watchdog let it stand).
 		tr.Outcome = OutcomeHung
 	case tr.Delivered == uint64(tr.Sent):
-		switch {
-		case tr.RecoveryEvents > 0:
-			tr.Outcome = OutcomeResetRecovered
-		case tr.Retransmits > 0:
-			tr.Outcome = OutcomeRetransmitted
-		default:
-			tr.Outcome = OutcomeMasked
-		}
+		tr.Outcome = tr.deliveredAll()
 	default:
 		// Messages lost for good: abandoned by the transport or never
 		// sent because their sender died.
 		tr.Outcome = OutcomeDegraded
 	}
-
-	if faultSeen {
-		tr.InjectedAt = sim.Duration(faultAt - b.start)
-		if e, found := mon.FirstEventAtOrAfter(faultAt); found {
-			tr.Detected = true
-			tr.DetectLatency = sim.Duration(e.Time - faultAt)
-			tr.DetectSource = e.Source + "/" + e.Detail
-		}
-	}
-	tr.Fingerprint = chaosFingerprint(tb, mon, b.rels)
+	tr.Fingerprint = chaosFingerprint(tb, b.mon, b.rels)
 	return tr
 }
 
@@ -545,56 +396,19 @@ func RunChaos(opts ChaosOptions) ChaosResult {
 	for i, err := range errs {
 		if err != nil {
 			trials[i] = ChaosTrial{
-				ID:         plans[i].ID,
-				Plan:       plans[i].String(),
-				K:          plans[i].K(),
-				Outcome:    OutcomeError,
-				InjectedAt: -1,
-				Err:        err.Error(),
+				ID:          plans[i].ID,
+				Plan:        plans[i].String(),
+				K:           plans[i].K(),
+				TrialResult: TrialResult{Outcome: OutcomeError, InjectedAt: -1},
+				Err:         err.Error(),
 			}
 		}
 	}
 	return ChaosResult{Seed: opts.Seed, Forks: opts.Forks, MaxK: opts.MaxK, Trials: trials}
 }
 
-// CountChaosOutcomes tallies a sweep's triage.
-func CountChaosOutcomes(trials []ChaosTrial) map[TrialOutcome]int {
-	m := make(map[TrialOutcome]int)
-	for _, t := range trials {
-		m[t.Outcome]++
-	}
-	return m
-}
-
 // ComputeChaosDetection tallies the sweep's detection axis.
-func ComputeChaosDetection(trials []ChaosTrial) DetectionStats {
-	var s DetectionStats
-	for _, t := range trials {
-		if t.InjectedAt < 0 {
-			continue
-		}
-		s.Injected++
-		masked := t.Outcome == OutcomeMasked
-		if !masked {
-			s.NonMasked++
-		}
-		if t.Detected {
-			s.Detected++
-			if !masked {
-				s.DetectedNonMasked++
-			}
-			s.Latencies = append(s.Latencies, t.DetectLatency)
-		}
-	}
-	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i] < s.Latencies[j] })
-	return s
-}
-
-// chaosOutcomeOrder fixes the tally rendering order.
-var chaosOutcomeOrder = []TrialOutcome{
-	OutcomeMasked, OutcomeRetransmitted, OutcomeResetRecovered,
-	OutcomeDegraded, OutcomeDropped, OutcomeHung, OutcomeWallClock, OutcomeError,
-}
+func ComputeChaosDetection(trials []ChaosTrial) DetectionStats { return ComputeDetection(trials) }
 
 // chaosTrialLines caps the per-fork detail a sweep report prints; beyond
 // it only the aggregates follow (a 10k-fork sweep is not a line printer).
@@ -615,19 +429,9 @@ func FormatChaos(r ChaosResult) string {
 			fmt.Fprintf(&b, "  fork %4d  k=%d %-15s %s\n", t.ID, t.K, t.Outcome, t.Err)
 			continue
 		}
-		fmt.Fprintf(&b, "  fork %4d  k=%d %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)  %s\n",
-			t.ID, t.K, t.Outcome, t.Delivered, t.Sent, t.Retransmits,
-			t.GaveUp, t.RecoveryEvents, t.Injections,
-			formatChaosDetection(t), t.Quiesce, t.Elapsed.Seconds()*1000, t.Plan)
+		fmt.Fprintf(&b, "  fork %4d  k=%d %-15s %s  %s\n", t.ID, t.K, t.Outcome, t.summary(), t.Plan)
 	}
-	counts := CountChaosOutcomes(r.Trials)
-	fmt.Fprintf(&b, "  tally:")
-	for _, o := range chaosOutcomeOrder {
-		if counts[o] > 0 {
-			fmt.Fprintf(&b, " %s=%d", o, counts[o])
-		}
-	}
-	fmt.Fprintf(&b, "\n")
+	writeTally(&b, "tally", CountOutcomes(r.Trials))
 	perK := make(map[int]map[TrialOutcome]int)
 	for _, t := range r.Trials {
 		if perK[t.K] == nil {
@@ -636,21 +440,12 @@ func FormatChaos(r ChaosResult) string {
 		perK[t.K][t.Outcome]++
 	}
 	for k := 1; k <= r.MaxK; k++ {
-		if perK[k] == nil {
-			continue
+		if perK[k] != nil {
+			writeTally(&b, fmt.Sprintf("k=%d", k), perK[k])
 		}
-		fmt.Fprintf(&b, "  k=%d:", k)
-		for _, o := range chaosOutcomeOrder {
-			if perK[k][o] > 0 {
-				fmt.Fprintf(&b, " %s=%d", o, perK[k][o])
-			}
-		}
-		fmt.Fprintf(&b, "\n")
 	}
-	det := ComputeChaosDetection(r.Trials)
-	fmt.Fprintf(&b, "  detect: %d/%d non-masked (%.0f%%), %d/%d overall\n",
-		det.DetectedNonMasked, det.NonMasked, 100*det.CoverageNonMasked(),
-		det.Detected, det.Injected)
+	det := ComputeDetection(r.Trials)
+	fmt.Fprintf(&b, "  detect: %s\n", det.coverage())
 	if len(det.Latencies) > 0 {
 		for _, q := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
 			fmt.Fprintf(&b, "  cdf    %7.1f ms  p=%.1f\n",
@@ -658,17 +453,6 @@ func FormatChaos(r ChaosResult) string {
 		}
 	}
 	return b.String()
-}
-
-func formatChaosDetection(t ChaosTrial) string {
-	switch {
-	case t.InjectedAt < 0:
-		return "-"
-	case !t.Detected:
-		return "miss"
-	default:
-		return fmt.Sprintf("%.1fms:%s", t.DetectLatency.Seconds()*1000, t.DetectSource)
-	}
 }
 
 // chaosFingerprint digests the world after a trial: kernel clock and event
@@ -680,10 +464,7 @@ func formatChaosDetection(t ChaosTrial) string {
 func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel now=%d processed=%d\n", tb.K.Now(), tb.K.Processed())
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		writeCounters(&b, fmt.Sprintf("sw0.p%d", p), tb.Switch.PortCounters(p))
-	}
-	fmt.Fprintf(&b, "sw0 held=%d\n", tb.Switch.HeldOutputs())
+	writeSwitch(&b, tb.Switch)
 	for _, n := range tb.Nodes {
 		writeCounters(&b, n.Name(), n.Interface().Counters())
 		fmt.Fprintf(&b, "%s stats=%+v dead=%v\n", n.Name(), n.Stats(), n.Dead())
@@ -709,18 +490,11 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		c := tb.Net.Cables[name]
-		for _, l := range []interface {
-			Name() string
-			Stats() (uint64, uint64)
-			SeveredChars() uint64
-		}{c.LeftToRight, c.RightToLeft} {
-			chars, bursts := l.Stats()
-			fmt.Fprintf(&b, "link %s chars=%d bursts=%d severed=%d\n",
-				l.Name(), chars, bursts, l.SeveredChars())
-		}
+	cables := make([]*phy.Cable, len(names))
+	for i, name := range names {
+		cables[i] = tb.Net.Cables[name]
 	}
+	writeCables(&b, cables)
 	for i, r := range rels {
 		fmt.Fprintf(&b, "rel%d %+v outstanding=%d\n", i, r.Stats(), r.Outstanding())
 	}
@@ -729,34 +503,11 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 	for _, e := range mon.Events() {
 		fmt.Fprintf(&b, "event %v\n", e)
 	}
-	for _, rec := range mon.Ring().Records() {
-		fmt.Fprintf(&b, "flow %s %v pkts=%d bytes=%d %d..%d cause=%v\n",
-			rec.Tap, rec.Key, rec.Packets, rec.Bytes, rec.First, rec.Last, rec.Cause)
-	}
+	writeFlows(&b, mon.Ring().Records())
 	for _, t := range mon.Taps() {
 		bursts, chars, packets, control := t.Stats()
 		fmt.Fprintf(&b, "tap %s bursts=%d chars=%d data=%d other=%d\n",
 			t.Name(), bursts, chars, packets, control)
 	}
 	return b.String()
-}
-
-// writeCounters renders one counter block with the drop map in sorted
-// order (map iteration would make fingerprints incomparable).
-func writeCounters(b *strings.Builder, label string, c *myrinet.Counters) {
-	fmt.Fprintf(b, "%s sent=%d recv=%d fwd=%d in=%d out=%d stops=%d/%d gos=%d/%d sto=%d lto=%d ovf=%d lr=%d rr=%d wd=%d bt=%d fl=%d drops=",
-		label, c.PacketsSent, c.PacketsReceived, c.PacketsForwarded,
-		c.CharsIn, c.CharsOut, c.StopsSent, c.StopsReceived, c.GosSent,
-		c.GosReceived, c.ShortTimeouts, c.LongTimeouts, c.OverflowChars,
-		c.LinkResets, c.ResetsReceived, c.StopWatchdogFires,
-		c.BlockedTimeouts, c.FlushedChars)
-	reasons := make([]int, 0, len(c.Drops))
-	for r := range c.Drops {
-		reasons = append(reasons, int(r))
-	}
-	sort.Ints(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(b, "%d:%d,", r, c.Drops[myrinet.DropReason(r)])
-	}
-	b.WriteByte('\n')
 }

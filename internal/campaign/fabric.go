@@ -100,9 +100,19 @@ type FabricTestbed struct {
 }
 
 // NewFabricTestbed builds the fabric and schedules the workload's initial
-// events. Run drives it.
+// events. Run drives it. It rejects an unknown workload and a flood with
+// fewer than two hosts (a flood host never sends to itself).
 func NewFabricTestbed(cfg FabricConfig) (*FabricTestbed, error) {
 	cfg.fillDefaults()
+	switch cfg.Workload {
+	case WorkloadFlood:
+		if cfg.Topo.Hosts < 2 {
+			return nil, fmt.Errorf("campaign: a flood needs at least 2 hosts (got %d)", cfg.Topo.Hosts)
+		}
+	case WorkloadPingPong:
+	default:
+		return nil, fmt.Errorf("campaign: unknown fabric workload %q", cfg.Workload)
+	}
 	f, err := topo.Build(cfg.Topo)
 	if err != nil {
 		return nil, err
@@ -181,7 +191,8 @@ func (tb *FabricTestbed) floodDst(h, n int) int {
 	return d
 }
 
-// arm schedules the workload's opening sends on each host's shard kernel.
+// arm schedules the workload's opening sends on each host's shard kernel;
+// NewFabricTestbed has validated the workload.
 func (tb *FabricTestbed) arm() {
 	hosts := tb.Cfg.Topo.Hosts
 	switch tb.Cfg.Workload {
@@ -198,8 +209,6 @@ func (tb *FabricTestbed) arm() {
 			s := &pongOpener{tb: tb, h: h}
 			tb.F.HostKernel(h).AtArg(sim.Time(tb.Cfg.Start), pongOpenerFire, s)
 		}
-	default:
-		panic(fmt.Sprintf("campaign: unknown fabric workload %q", tb.Cfg.Workload))
 	}
 }
 
@@ -303,32 +312,17 @@ func fabricFingerprint(tb *FabricTestbed) string {
 	fmt.Fprintf(&b, "fabric now=%d processed=%d drained=%v\n",
 		f.Group.Now(), f.Group.Processed(), tb.drained)
 	for _, sw := range f.Switches {
-		for p := 0; p < sw.Ports(); p++ {
-			writeCounters(&b, fmt.Sprintf("%s.p%d", sw.Name(), p), sw.PortCounters(p))
-		}
-		fmt.Fprintf(&b, "%s held=%d\n", sw.Name(), sw.HeldOutputs())
+		writeSwitch(&b, sw)
 	}
 	for h, ifc := range f.Hosts {
 		writeCounters(&b, ifc.Name(), ifc.Counters())
 		fmt.Fprintf(&b, "%s sent=%d errs=%d delivered=%d bytes=%d\n",
 			ifc.Name(), tb.Sent[h], tb.SendErrs[h], tb.Delivered[h], tb.Bytes[h])
 	}
-	for _, c := range f.Cables {
-		for _, l := range []interface {
-			Name() string
-			Stats() (uint64, uint64)
-			SeveredChars() uint64
-		}{c.LeftToRight, c.RightToLeft} {
-			chars, bursts := l.Stats()
-			fmt.Fprintf(&b, "link %s chars=%d bursts=%d severed=%d\n", l.Name(), chars, bursts, l.SeveredChars())
-		}
-	}
+	writeCables(&b, f.Cables)
 	if tb.Cfg.Record {
 		for h := range tb.rings {
-			for _, rec := range tb.rings[h].Records() {
-				fmt.Fprintf(&b, "flow %s %v pkts=%d bytes=%d %d..%d cause=%v\n",
-					rec.Tap, rec.Key, rec.Packets, rec.Bytes, rec.First, rec.Last, rec.Cause)
-			}
+			writeFlows(&b, tb.rings[h].Records())
 			fmt.Fprintf(&b, "ring %d exported=%d dropped=%d\n", h, tb.rings[h].Exported(), tb.rings[h].Dropped())
 		}
 		for h := range tb.logs {

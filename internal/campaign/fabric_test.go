@@ -176,3 +176,34 @@ func TestFabricFormat(t *testing.T) {
 		}
 	}
 }
+
+// NewFabricTestbed reports bad configs as errors instead of panicking
+// later: a topology Build rejects, an unknown workload, and a flood too
+// small to have a destination other than the sender.
+func TestNewFabricTestbedErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  FabricConfig
+	}{
+		{"no switches", FabricConfig{Topo: topo.Config{Switches: 0, Hosts: 4}}},
+		{"no hosts", FabricConfig{Topo: topo.Config{Switches: 1, Hosts: 0}}},
+		{"one-host flood", FabricConfig{Topo: topo.Config{Switches: 1, Hosts: 1}}},
+		{"one-host explicit flood", FabricConfig{Topo: topo.Config{Switches: 2, Hosts: 1}, Workload: WorkloadFlood}},
+		{"unknown workload", FabricConfig{Topo: topo.Config{Switches: 2, Hosts: 4}, Workload: "broadcast"}},
+	} {
+		tb, err := NewFabricTestbed(tc.cfg)
+		if err == nil {
+			tb.Close()
+			t.Errorf("%s: NewFabricTestbed(%+v) succeeded, want error", tc.name, tc.cfg)
+		}
+	}
+	// A one-host ping-pong has no complete pair and simply idles.
+	tb, err := NewFabricTestbed(FabricConfig{Topo: topo.Config{Switches: 1, Hosts: 1}, Workload: WorkloadPingPong})
+	if err != nil {
+		t.Fatalf("one-host ping-pong: %v", err)
+	}
+	defer tb.Close()
+	if !tb.Run() {
+		t.Fatal("one-host ping-pong did not drain")
+	}
+}

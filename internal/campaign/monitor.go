@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"netfi/internal/host"
 	"netfi/internal/monitor"
-	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
 
@@ -70,14 +68,7 @@ type MonitorResult struct {
 // traffic the whole way through.
 func RunMonitor(opts MonitorOptions) MonitorResult {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{
-		Seed: opts.Seed,
-		Recovery: myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		},
-	})
+	tb := NewTestbed(TestbedConfig{Seed: opts.Seed, Recovery: trialRecovery})
 
 	tb.Configure("DIR L")
 	armSpan := sim.Duration(opts.Messages-2) * opts.Gap
@@ -88,27 +79,12 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 			"RULE ADD %d MODE ONCE ACT DROP PAT C0C", resilienceRuleID))
 	})
 
-	base := tb.K.Now()
-	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
-	mon, injected := armTrialMonitor(tb, horizon)
+	horizon := tb.K.Now() + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
+	mon, _ := armPlane(tb, horizon)
+	run := startTrial(tb, mon)
 
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-	endpoints := make([]*host.Reliable, len(tb.Nodes))
-	for i, n := range tb.Nodes {
-		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-			InitialRTO: 40 * sim.Millisecond,
-			MaxRTO:     80 * sim.Millisecond,
-			MaxRetries: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		endpoints[i] = r
-	}
-	rel := endpoints[0]
+	payload := trialPayload()
+	rel := newEndpoints(tb)[0]
 	// A fixed destination: the wedged output is then the heartbeat path
 	// toward node 1, so the accrual detector sees the outage directly.
 	dst := NodeMAC(1)
@@ -116,30 +92,27 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 		tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
 	}
 
-	tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress: func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		},
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-	})
-	mon.Stop()
+	var tr TrialResult
+	run.finish(&tr, run.run(reliableProgress(tb, rel), 0))
 
 	s := rel.Stats()
 	res := MonitorResult{
 		Sent:           opts.Messages,
 		Delivered:      s.Delivered,
 		Retransmits:    s.Retransmits,
-		RecoveryEvents: recoveryEventCount(tb),
-		Injections:     tb.Injections(),
+		RecoveryEvents: tr.RecoveryEvents,
+		Injections:     tr.Injections,
 		Ticks:          mon.Ticks(),
 		Events:         append([]monitor.Event(nil), mon.Events()...),
-		FlowsExported:  mon.Ring().Exported(),
+		FlowsExported:  tr.FlowsExported,
 		FlowsDropped:   mon.Ring().Dropped(),
 		Flows:          mon.Ring().Records(),
-		InjectedAt:     -1,
+		InjectedAt:     tr.InjectedAt,
 		DetectLatency:  -1,
+		DetectSource:   tr.DetectSource,
+	}
+	if tr.Detected {
+		res.DetectLatency = tr.DetectLatency
 	}
 	for _, t := range mon.Taps() {
 		bursts, chars, packets, control := t.Stats()
@@ -147,13 +120,6 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 			Name: t.Name(), Bursts: bursts, Chars: chars,
 			Packets: packets, Control: control,
 		})
-	}
-	if at, ok := injected(); ok {
-		res.InjectedAt = sim.Duration(at - base)
-		if e, found := mon.FirstEventAtOrAfter(at); found {
-			res.DetectLatency = sim.Duration(e.Time - at)
-			res.DetectSource = e.Source + "/" + e.Detail
-		}
 	}
 	return res
 }

@@ -3,40 +3,11 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"netfi/internal/host"
-	"netfi/internal/monitor"
 	"netfi/internal/myrinet"
 	"netfi/internal/sim"
-)
-
-// TrialOutcome classifies one resilience trial. The triage extends the paper's
-// active/passive fault split (§4.4) with the recovery layer's vocabulary:
-// how, not just whether, the network absorbed the fault.
-type TrialOutcome string
-
-const (
-	// OutcomeMasked — the fault landed (or missed) without any observable
-	// application effect: every message arrived on the first attempt.
-	OutcomeMasked TrialOutcome = "masked"
-	// OutcomeRetransmitted — the fault destroyed traffic, and the reliable
-	// transport's retry restored it end to end.
-	OutcomeRetransmitted TrialOutcome = "retransmitted"
-	// OutcomeResetRecovered — a link reset or watchdog had to break a
-	// wedged path before delivery could complete.
-	OutcomeResetRecovered TrialOutcome = "reset-recovered"
-	// OutcomeDegraded — the trial terminated but messages were lost for
-	// good (the transport gave up, or a plain-UDP run lost traffic).
-	OutcomeDegraded TrialOutcome = "degraded"
-	// OutcomeDropped — recovery-off only: messages vanished with the
-	// network itself still healthy.
-	OutcomeDropped TrialOutcome = "dropped"
-	// OutcomeHung — the paper's failure mode: a path stayed wedged, either
-	// as frozen progress or a switch output still owned after the network
-	// drained (§4.3.1's blocked-forever packet).
-	OutcomeHung TrialOutcome = "hung"
 )
 
 // ResilienceTrial records one randomized injection and its triage.
@@ -45,40 +16,10 @@ type ResilienceTrial struct {
 	Family  string
 	Command string       // the RULE ADD line armed over the serial console
 	ArmAt   sim.Duration // when the line was queued, relative to traffic start
-	Outcome TrialOutcome
-	Quiesce string // drained / stalled / deadline (from RunUntilQuiescent)
-	Elapsed sim.Duration
-
-	Sent        int
-	Delivered   uint64
-	Retransmits uint64
-	GaveUp      uint64
-	// RecoveryEvents sums link resets, RESETs received, stop-watchdog and
-	// blocked-timeout fires over every switch port and interface.
-	RecoveryEvents uint64
-	// Injections is the injector's own count of characters it perturbed.
-	Injections uint64
+	TrialResult
 	// ResetsOnWire is the injector's RESET-symbol observation (the figure
 	// STAT reports as resets=), both directions summed.
 	ResetsOnWire uint64
-	// HeldOutputs is the switch's owned-output count after quiescence.
-	HeldOutputs int
-
-	// Detection axis (the monitoring plane runs armed in every trial).
-	// InjectedAt is when the first fault landed on the wire, relative to
-	// traffic start; negative when the rule never fired.
-	InjectedAt sim.Duration
-	// Detected reports whether the plane raised any event at or after
-	// the injection.
-	Detected bool
-	// DetectLatency is first-event time minus injection time.
-	DetectLatency sim.Duration
-	// DetectSource names the first detector that fired, as
-	// "source/detail" (e.g. "node1.rx/phi", "net.drops/loss-burst").
-	DetectSource string
-	// FlowsExported counts NetFlow records the plane's switch taps
-	// exported over the trial.
-	FlowsExported uint64
 }
 
 // ResilienceResult pairs the recovery-on sweep with its recovery-off rerun
@@ -196,108 +137,13 @@ const resiliencePayloadLen = 20 // > max truncate run, so framing survives
 
 const resiliencePort = 7000
 
-// recoveryEventCount sums the recovery layer's activity over the whole
-// network: every switch port and every host interface.
-func recoveryEventCount(tb *Testbed) uint64 {
-	var n uint64
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		c := tb.Switch.PortCounters(p)
-		n += c.LinkResets + c.ResetsReceived + c.StopWatchdogFires + c.BlockedTimeouts
-	}
-	for _, nd := range tb.Nodes {
-		c := nd.Interface().Counters()
-		n += c.LinkResets + c.ResetsReceived + c.StopWatchdogFires + c.BlockedTimeouts
-	}
-	return n
-}
-
-// armTrialMonitor attaches the monitoring plane to a resilience testbed:
-// flow-export taps on every attached switch input, arrival-side accrual
-// detectors on the two lowest untapped nodes (fed by heartbeat beacons
-// between them — beacons never cross the injector's cable, preserving the
-// workload discipline the fault families rely on), and loss / recovery /
-// wedge probes over the network counters. The beacons and the sampling
-// clock stop at horizon. The returned func reports when the first fault
-// landed on the wire.
-func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim.Time, bool)) {
-	mon := monitor.NewPlane(tb.K, monitor.Config{
-		SampleInterval: sim.Millisecond,
-		FlowIdle:       25 * sim.Millisecond,
-	})
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		if tb.Switch.Attached(p) {
-			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
-		}
-	}
-
-	// Heartbeats between the first two nodes that are not the tapped one.
-	var beat []int
-	for i := range tb.Nodes {
-		if i != tb.cfg.TapNode && len(beat) < 2 {
-			beat = append(beat, i)
-		}
-	}
-	if len(beat) == 2 {
-		a, b := beat[0], beat[1]
-		for _, i := range beat {
-			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort,
-				func(myrinet.MAC, uint16, []byte) {}); err != nil {
-				panic(err)
-			}
-		}
-		host.NewHeartbeat(tb.K, tb.Nodes[a], host.HeartbeatConfig{
-			Dst: NodeMAC(b), Until: horizon,
-		}).Start()
-		host.NewHeartbeat(tb.K, tb.Nodes[b], host.HeartbeatConfig{
-			Dst: NodeMAC(a), Until: horizon,
-		}).Start()
-	}
-
-	mon.AddLossProbe("net.drops", func() uint64 {
-		var n uint64
-		for p := 0; p < tb.Switch.Ports(); p++ {
-			n += tb.Switch.PortCounters(p).TotalDrops()
-		}
-		for _, nd := range tb.Nodes {
-			n += nd.Interface().Counters().TotalDrops()
-		}
-		return n
-	})
-	mon.AddCounterProbe("net.recovery", "recovery", func() uint64 {
-		return recoveryEventCount(tb)
-	})
-	mon.AddWedgeProbe("sw0.held", func() int { return tb.Switch.HeldOutputs() })
-
-	var injectedAt sim.Time
-	injSeen := false
-	hook := func() {
-		if !injSeen {
-			injSeen = true
-			injectedAt = tb.K.Now()
-		}
-	}
-	tb.Injector.Engine(DirOutbound).SetInjectionHook(hook)
-	tb.Injector.Engine(DirInbound).SetInjectionHook(hook)
-
-	mon.SetStopAt(horizon)
-	mon.Start()
-	return mon, func() (sim.Time, bool) { return injectedAt, injSeen }
-}
-
 // runResilienceTrial executes one fault injection against a fresh testbed.
 // With recovery enabled the workload is the reliable transport; disabled, it
 // is plain UDP — the paper's stack, which loses or wedges instead.
 func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery bool) ResilienceTrial {
 	rc := myrinet.RecoveryConfig{}
 	if recovery {
-		// Watchdogs shorter than the transport's first RTO, so a wedge
-		// is broken by a reset before the retry needs the path back.
-		rc = myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		}
+		rc = trialRecovery
 	}
 	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: rc})
 	nodes := len(tb.Nodes)
@@ -320,55 +166,29 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 	cmd := plan.cmd
 	tb.K.After(armAt, func() { tb.Console.Send(cmd) })
 
-	tr := ResilienceTrial{
-		ID:         trial,
-		Family:     fam.name,
-		Command:    cmd,
-		ArmAt:      armAt,
-		Sent:       opts.Messages,
-		InjectedAt: -1,
-	}
+	tr := ResilienceTrial{ID: trial, Family: fam.name, Command: cmd, ArmAt: armAt}
+	tr.Sent = opts.Messages
 
-	// Arm the monitoring plane. base is traffic start; the heartbeat
-	// beacons and the sampling clock both end at a horizon comfortably
-	// past the last workload message and every recovery watchdog, so the
-	// detectors cover the whole fault window yet the event queue still
-	// drains in healthy trials (and end-of-workload silence is never
-	// mistaken for failure).
-	base := tb.K.Now()
-	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
-	mon, injected := armTrialMonitor(tb, horizon)
+	// Arm the monitoring plane at traffic start. The heartbeat beacons and
+	// the sampling clock both end at a horizon comfortably past the last
+	// workload message and every recovery watchdog, so the detectors cover
+	// the whole fault window yet the event queue still drains in healthy
+	// trials (and end-of-workload silence is never mistaken for failure).
+	horizon := tb.K.Now() + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
+	mon, _ := armPlane(tb, horizon)
+	run := startTrial(tb, mon)
 
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-
+	payload := trialPayload()
 	var progress func() uint64
 	var rel *host.Reliable
 	received := 0
 	if recovery {
-		endpoints := make([]*host.Reliable, nodes)
-		for i, n := range tb.Nodes {
-			r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-				InitialRTO: 40 * sim.Millisecond,
-				MaxRTO:     80 * sim.Millisecond,
-				MaxRetries: 5,
-			})
-			if err != nil {
-				panic(err)
-			}
-			endpoints[i] = r
-		}
-		rel = endpoints[0]
+		rel = newEndpoints(tb)[0]
 		for i := 0; i < opts.Messages; i++ {
 			dst := NodeMAC(1 + i%(nodes-1))
 			tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
 		}
-		progress = func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		}
+		progress = reliableProgress(tb, rel)
 	} else {
 		for _, n := range tb.Nodes {
 			if _, err := n.Bind(resiliencePort, func(myrinet.MAC, uint16, []byte) {
@@ -393,31 +213,10 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 		}
 	}
 
-	res := tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress:   progress,
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-	})
-	tr.Quiesce = res.Outcome()
-	tr.Elapsed = res.Elapsed
-	tr.RecoveryEvents = recoveryEventCount(tb)
-	tr.HeldOutputs = tb.Switch.HeldOutputs()
-	_, _, injOut := tb.Injector.Engine(DirOutbound).Stats()
-	_, _, injIn := tb.Injector.Engine(DirInbound).Stats()
-	tr.Injections = injOut + injIn
+	res := run.run(progress, 0)
+	run.finish(&tr.TrialResult, res)
 	tr.ResetsOnWire = tb.Injector.Engine(DirOutbound).ResetsSeen() +
 		tb.Injector.Engine(DirInbound).ResetsSeen()
-
-	mon.Stop()
-	tr.FlowsExported = mon.Ring().Exported()
-	if at, ok := injected(); ok {
-		tr.InjectedAt = sim.Duration(at - base)
-		if e, found := mon.FirstEventAtOrAfter(at); found {
-			tr.Detected = true
-			tr.DetectLatency = sim.Duration(e.Time - at)
-			tr.DetectSource = e.Source + "/" + e.Detail
-		}
-	}
 
 	if recovery {
 		s := rel.Stats()
@@ -428,14 +227,7 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 		case res.Stalled || res.DeadlineHit || rel.Outstanding() > 0:
 			tr.Outcome = OutcomeHung
 		case s.Delivered == uint64(tr.Sent):
-			switch {
-			case tr.RecoveryEvents > 0:
-				tr.Outcome = OutcomeResetRecovered
-			case s.Retransmits > 0:
-				tr.Outcome = OutcomeRetransmitted
-			default:
-				tr.Outcome = OutcomeMasked
-			}
+			tr.Outcome = tr.deliveredAll()
 		default:
 			tr.Outcome = OutcomeDegraded
 		}
@@ -479,84 +271,6 @@ func RunResilience(opts ResilienceOptions) ResilienceResult {
 	return res
 }
 
-// CountOutcomes tallies a sweep's triage.
-func CountOutcomes(trials []ResilienceTrial) map[TrialOutcome]int {
-	m := make(map[TrialOutcome]int)
-	for _, t := range trials {
-		m[t.Outcome]++
-	}
-	return m
-}
-
-// DetectionStats summarizes one sweep's detection axis.
-type DetectionStats struct {
-	// Injected counts trials whose fault actually landed on the wire.
-	Injected int
-	// NonMasked counts injected trials with any observable effect
-	// (outcome != masked) — the denominator the ISSUE's ≥90% bound uses.
-	NonMasked int
-	// Detected / DetectedNonMasked count plane detections among them.
-	Detected          int
-	DetectedNonMasked int
-	// Latencies holds the detection latencies of detected trials, sorted
-	// ascending: the detection-latency CDF.
-	Latencies []sim.Duration
-}
-
-// ComputeDetection tallies the detection axis of a sweep.
-func ComputeDetection(trials []ResilienceTrial) DetectionStats {
-	var s DetectionStats
-	for _, t := range trials {
-		if t.InjectedAt < 0 {
-			continue
-		}
-		s.Injected++
-		masked := t.Outcome == OutcomeMasked
-		if !masked {
-			s.NonMasked++
-		}
-		if t.Detected {
-			s.Detected++
-			if !masked {
-				s.DetectedNonMasked++
-			}
-			s.Latencies = append(s.Latencies, t.DetectLatency)
-		}
-	}
-	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i] < s.Latencies[j] })
-	return s
-}
-
-// CoverageNonMasked is the detected fraction of non-masked injected
-// failures (1 when there were none).
-func (s DetectionStats) CoverageNonMasked() float64 {
-	if s.NonMasked == 0 {
-		return 1
-	}
-	return float64(s.DetectedNonMasked) / float64(s.NonMasked)
-}
-
-// Quantile returns the q-th latency quantile (0 when nothing was detected).
-func (s DetectionStats) Quantile(q float64) sim.Duration {
-	if len(s.Latencies) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(s.Latencies)-1))
-	return s.Latencies[i]
-}
-
-// formatDetection renders a trial's detection cell.
-func formatDetection(t ResilienceTrial) string {
-	switch {
-	case t.InjectedAt < 0:
-		return "-"
-	case !t.Detected:
-		return "miss"
-	default:
-		return fmt.Sprintf("%.1fms:%s", t.DetectLatency.Seconds()*1000, t.DetectSource)
-	}
-}
-
 // FormatDetectionCDF renders the full detection-latency CDF, one step per
 // detected trial.
 func FormatDetectionCDF(s DetectionStats) string {
@@ -575,24 +289,11 @@ func FormatResilience(r ResilienceResult) string {
 	render := func(title string, trials []ResilienceTrial) {
 		fmt.Fprintf(&b, "%s\n", title)
 		for _, t := range trials {
-			fmt.Fprintf(&b, "  trial %2d  %-14s %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)\n",
-				t.ID, t.Family, t.Outcome, t.Delivered, t.Sent,
-				t.Retransmits, t.GaveUp, t.RecoveryEvents, t.Injections,
-				formatDetection(t), t.Quiesce, t.Elapsed.Seconds()*1000)
+			fmt.Fprintf(&b, "  trial %2d  %-14s %-15s %s\n", t.ID, t.Family, t.Outcome, t.summary())
 		}
-		counts := CountOutcomes(trials)
-		fmt.Fprintf(&b, "  tally:")
-		for _, o := range []TrialOutcome{OutcomeMasked, OutcomeRetransmitted,
-			OutcomeResetRecovered, OutcomeDegraded, OutcomeDropped, OutcomeHung} {
-			if counts[o] > 0 {
-				fmt.Fprintf(&b, " %s=%d", o, counts[o])
-			}
-		}
-		fmt.Fprintf(&b, "\n")
+		writeTally(&b, "tally", CountOutcomes(trials))
 		det := ComputeDetection(trials)
-		fmt.Fprintf(&b, "  detect: %d/%d non-masked (%.0f%%), %d/%d overall, p50=%.1fms p90=%.1fms max=%.1fms\n",
-			det.DetectedNonMasked, det.NonMasked, 100*det.CoverageNonMasked(),
-			det.Detected, det.Injected,
+		fmt.Fprintf(&b, "  detect: %s, p50=%.1fms p90=%.1fms max=%.1fms\n", det.coverage(),
 			det.Quantile(0.5).Seconds()*1000, det.Quantile(0.9).Seconds()*1000,
 			det.Quantile(1).Seconds()*1000)
 		b.WriteString(FormatDetectionCDF(det))

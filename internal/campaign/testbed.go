@@ -212,3 +212,32 @@ func (tb *Testbed) Injections() uint64 {
 	_, _, b := tb.Injector.Engine(DirInbound).Stats()
 	return a + b
 }
+
+// RecoveryEvents sums the recovery layer's activity over the whole network:
+// link resets, RESETs received, stop-watchdog and blocked-timeout fires on
+// every switch port and host interface.
+func (tb *Testbed) RecoveryEvents() uint64 {
+	var n uint64
+	tb.eachCounters(func(c *myrinet.Counters) {
+		n += c.LinkResets + c.ResetsReceived + c.StopWatchdogFires + c.BlockedTimeouts
+	})
+	return n
+}
+
+// Drops sums every drop counter on every switch port and host interface.
+func (tb *Testbed) Drops() uint64 {
+	var n uint64
+	tb.eachCounters(func(c *myrinet.Counters) { n += c.TotalDrops() })
+	return n
+}
+
+// eachCounters visits the counters of every switch port, then every host
+// interface.
+func (tb *Testbed) eachCounters(fn func(*myrinet.Counters)) {
+	for p := 0; p < tb.Switch.Ports(); p++ {
+		fn(tb.Switch.PortCounters(p))
+	}
+	for _, nd := range tb.Nodes {
+		fn(nd.Interface().Counters())
+	}
+}

@@ -14,7 +14,7 @@ func directPair(t *testing.T, k *sim.Kernel) (*testHost, *testHost) {
 	t.Helper()
 	a := newTestHost(k, "A", 1, 1, MappingConfig{})
 	b := newTestHost(k, "B", 2, 2, MappingConfig{})
-	Connect(k, DefaultLinkConfig("ab"), a.ifc, b.ifc)
+	ConnectCross(k, k, DefaultLinkConfig("ab"), a.ifc, b.ifc)
 	a.ifc.SetRoute(b.ifc.MAC(), []byte{RouteFinal})
 	b.ifc.SetRoute(a.ifc.MAC(), []byte{RouteFinal})
 	return a, b
@@ -49,7 +49,7 @@ func TestInterfaceTxQueueLimit(t *testing.T) {
 		Name: "A", MAC: MAC{2, 0, 0, 0, 0, 1}, ID: 1, TxQueueLimit: 2,
 	})
 	b := newTestHost(k, "B", 2, 2, MappingConfig{})
-	Connect(k, DefaultLinkConfig("ab"), a, b.ifc)
+	ConnectCross(k, k, DefaultLinkConfig("ab"), a, b.ifc)
 	a.SetRoute(b.ifc.MAC(), []byte{RouteFinal})
 	// Enqueue a burst without letting the kernel run: the ring holds the
 	// in-flight packet plus two queued; the rest drop.

@@ -327,7 +327,7 @@ func TestHostInterfaceAbandonsReassemblyOnReset(t *testing.T) {
 	b.ifc.SetDataHandler(func(src MAC, payload []byte) {
 		b.received = append(b.received, append([]byte(nil), payload...))
 	})
-	Connect(k, DefaultLinkConfig("ab"), a.ifc, b.ifc)
+	ConnectCross(k, k, DefaultLinkConfig("ab"), a.ifc, b.ifc)
 	a.ifc.SetRoute(b.ifc.MAC(), []byte{RouteFinal})
 	b.ifc.SetRoute(a.ifc.MAC(), []byte{RouteFinal})
 

@@ -45,29 +45,14 @@ type nullReceiver struct{}
 
 func (nullReceiver) Receive([]phy.Character) {}
 
-// Connect builds a full-duplex cable between a and b and wires both ends.
-// It returns the cable so the fault injector can later be spliced into it.
-func Connect(k *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.Cable {
-	aToB := cfg
-	aToB.Name = cfg.Name + ":a2b"
-	bToA := cfg
-	bToA.Name = cfg.Name + ":b2a"
-	linkAB := phy.NewLink(k, aToB, nullReceiver{})
-	linkBA := phy.NewLink(k, bToA, nullReceiver{})
-	recvA := a.AttachLink(linkAB) // a transmits on linkAB
-	recvB := b.AttachLink(linkBA) // b transmits on linkBA
-	linkAB.SetDst(recvB)
-	linkBA.SetDst(recvA)
-	return &phy.Cable{LeftToRight: linkAB, RightToLeft: linkBA}
-}
-
 // ConnectCross builds a full-duplex cable between endpoints that may live on
 // different kernels: each direction's link is constructed on the *sender's*
 // kernel (a link reads its own clock when serializing), while delivery to
 // the far side is the fabric layer's problem — it installs a DeliverySink on
 // both links so bursts cross shards through barrier exchange instead of
-// direct scheduling. With ka == kb and no sinks installed this is exactly
-// Connect.
+// direct scheduling. With ka == kb and no sinks installed it is an
+// ordinary same-kernel cable, which it returns so the fault injector can
+// later be spliced into it.
 func ConnectCross(ka, kb *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.Cable {
 	aToB := cfg
 	aToB.Name = cfg.Name + ":a2b"
@@ -113,7 +98,7 @@ func (n *Network) AddInterface(cfg InterfaceConfig) *Interface {
 // ConnectHost cables a host interface to a switch port and records the
 // cable under the interface's name.
 func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
-	cable := Connect(n.Kernel, DefaultLinkConfig(fmt.Sprintf("%s<->%s.p%d", ifc.Name(), sw.Name(), port)), ifc, Port(sw, port))
+	cable := ConnectCross(n.Kernel, n.Kernel, DefaultLinkConfig(fmt.Sprintf("%s<->%s.p%d", ifc.Name(), sw.Name(), port)), ifc, Port(sw, port))
 	n.Cables[ifc.Name()] = cable
 	return cable
 }
@@ -121,7 +106,7 @@ func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
 // ConnectSwitches cables two switch ports together.
 func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cable {
 	name := fmt.Sprintf("%s.p%d<->%s.p%d", a.Name(), pa, b.Name(), pb)
-	cable := Connect(n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
+	cable := ConnectCross(n.Kernel, n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
 	n.Cables[name] = cable
 	return cable
 }

@@ -19,11 +19,10 @@
 //	h(j) = min over i with pending events of next(i) + dist(i, j) - 1
 //
 // is safe: everything j executes through h(j) precedes the earliest
-// possible not-yet-injected arrival. The matrix is supplied by the fabric
-// layer (SetDistanceMatrix) from the cable map; without one the group
-// falls back to a uniform dist(i, j) = lookahead, which reproduces the
-// fixed-window schedule of the static design (window = global min event
-// time T through T+lookahead-1).
+// possible not-yet-injected arrival. The matrix is the constructor's one
+// policy input; the fabric layer derives it from the cable map. A uniform
+// matrix with every entry L is the static fixed-window schedule: every
+// window runs from the global minimum event time T through T+L-1.
 //
 // Determinism: shards execute external deliveries in a total order carried
 // by the events themselves (arrival time, then cable rank, then per-cable
@@ -95,13 +94,11 @@ func (b *senseBarrier) wait(local *uint32) {
 //
 // The zero value is not usable; construct with NewShardGroup.
 type ShardGroup struct {
-	kernels   []*Kernel
-	lookahead Duration
+	kernels []*Kernel
 
 	// dist[i][j] is the minimum latency from an event on shard i to an
 	// arrival on shard j over paths with >= 1 channel hop; 0 means shard i
-	// cannot influence shard j at all. nil selects the static fallback
-	// (uniform lookahead between every pair, including self).
+	// cannot influence shard j at all.
 	dist [][]Duration
 
 	// exchange drains every shard's outbox into its peers' kernels at a
@@ -130,24 +127,36 @@ type ShardGroup struct {
 	closed bool
 }
 
-// NewShardGroup returns a coordinator over the given kernels. The lookahead
-// must be positive: it is the guaranteed minimum virtual-time latency of any
-// cross-shard interaction, and the uniform fallback when no distance matrix
-// is installed.
-func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
-	if len(kernels) == 0 {
+// NewShardGroup returns a coordinator over the given kernels. dist[i][j]
+// must be the minimum virtual-time latency from an event executing on shard
+// i to the earliest resulting arrival on shard j over influence paths with
+// at least one channel hop (dist[j][j] is the shortest nontrivial cycle
+// through j); a zero entry means shard i can never influence shard j. The
+// matrix must be square over the kernels, with no negative entry.
+func NewShardGroup(kernels []*Kernel, dist [][]Duration) *ShardGroup {
+	n := len(kernels)
+	if n == 0 {
 		panic("sim: ShardGroup needs at least one kernel")
 	}
-	if lookahead <= 0 {
-		panic("sim: ShardGroup lookahead must be positive")
+	if len(dist) != n {
+		panic("sim: distance matrix shard count mismatch")
 	}
-	n := len(kernels)
+	for _, row := range dist {
+		if len(row) != n {
+			panic("sim: distance matrix is not square")
+		}
+		for _, d := range row {
+			if d < 0 {
+				panic("sim: negative distance matrix entry")
+			}
+		}
+	}
 	g := &ShardGroup{
-		kernels:   kernels,
-		lookahead: lookahead,
-		horizons:  make([]Time, n),
-		nexts:     make([]Time, n),
-		has:       make([]bool, n),
+		kernels:  kernels,
+		dist:     dist,
+		horizons: make([]Time, n),
+		nexts:    make([]Time, n),
+		has:      make([]bool, n),
 	}
 	if n > 1 {
 		g.bar = newSenseBarrier(n)
@@ -161,30 +170,6 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 // SetExchange installs the barrier exchange hook. It must be set before Run
 // when any cross-shard channels exist.
 func (g *ShardGroup) SetExchange(fn func() int) { g.exchange = fn }
-
-// SetDistanceMatrix installs the shard-pair minimum-latency matrix that
-// unlocks adaptive horizons. dist[i][j] must be the minimum virtual-time
-// latency from an event executing on shard i to the earliest resulting
-// arrival on shard j over influence paths with at least one channel hop
-// (dist[j][j] is the shortest nontrivial cycle through j); a zero entry
-// means shard i can never influence shard j. Every entry must be either
-// zero or >= the group's lookahead.
-func (g *ShardGroup) SetDistanceMatrix(dist [][]Duration) {
-	if len(dist) != len(g.kernels) {
-		panic("sim: distance matrix shard count mismatch")
-	}
-	for _, row := range dist {
-		if len(row) != len(g.kernels) {
-			panic("sim: distance matrix is not square")
-		}
-		for _, d := range row {
-			if d != 0 && d < g.lookahead {
-				panic("sim: distance matrix entry below group lookahead")
-			}
-		}
-	}
-	g.dist = dist
-}
 
 // Kernels returns the coordinated kernels, shard-indexed.
 func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
@@ -266,24 +251,10 @@ func (g *ShardGroup) minNext() (Time, bool) {
 	return minT, found
 }
 
-// computeHorizons fills g.horizons for the next window, capped at limit.
-// With a distance matrix, shard j may run through
-// min over pending i of next(i) + dist(i, j) - 1; a shard no pending
-// event chain can reach sprints straight to limit. Without a matrix every
-// shard gets the static window T+lookahead-1 anchored at the global
-// minimum T.
+// computeHorizons fills g.horizons for the next window, capped at limit:
+// shard j may run through min over pending i of next(i) + dist(i, j) - 1,
+// and a shard no pending event chain can reach sprints straight to limit.
 func (g *ShardGroup) computeHorizons(limit Time) {
-	if g.dist == nil {
-		t, _ := g.minNext()
-		h := t + g.lookahead - 1
-		if h > limit {
-			h = limit
-		}
-		for j := range g.horizons {
-			g.horizons[j] = h
-		}
-		return
-	}
 	for j := range g.horizons {
 		h := limit
 		for i := range g.kernels {

@@ -12,7 +12,7 @@ import (
 // how the nodes are partitioned — the window schedule may differ, the
 // executed history may not.
 
-const meshLat = 50 * Nanosecond // minimum cable latency = group lookahead
+const meshLat = 50 * Nanosecond // minimum cable latency
 
 type meshRec struct {
 	at    Time
@@ -134,16 +134,8 @@ func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time,
 	}
 	// Uniform distance matrix at the minimum cable latency: every pair is
 	// assumed reachable, which is always conservative.
-	dist := make([][]Duration, shards)
-	for i := range dist {
-		dist[i] = make([]Duration, shards)
-		for j := range dist[i] {
-			dist[i][j] = meshLat
-		}
-	}
-	net.g = NewShardGroup(net.kernels, meshLat)
+	net.g = NewShardGroup(net.kernels, uniform(shards, meshLat))
 	defer net.g.Close()
-	net.g.SetDistanceMatrix(dist)
 	net.g.SetExchange(net.exchange)
 	if !net.g.Run(Second) {
 		t.Fatalf("seed %d shards %d: mesh did not drain", seed, shards)
@@ -195,14 +187,13 @@ func TestShardGroupAdaptiveSprint(t *testing.T) {
 	for at := Time(0); at < 1000*Nanosecond; at += 10 * Nanosecond {
 		kernels[0].At(at, func() { n++ })
 	}
-	g := NewShardGroup(kernels, 50*Nanosecond)
-	defer g.Close()
 	// Shard 0 influences shard 1 but nothing influences shard 0 (no cycle
 	// back), so shard 0's horizon is always the limit.
-	g.SetDistanceMatrix([][]Duration{
+	g := NewShardGroup(kernels, [][]Duration{
 		{0, 50 * Nanosecond},
 		{0, 0},
 	})
+	defer g.Close()
 	if !g.Run(Second) {
 		t.Fatal("did not drain")
 	}
@@ -221,7 +212,7 @@ func TestShardGroupDrainBufferedExchange(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
 	received := 0
 	pending := []Time{10 * Nanosecond, 20 * Nanosecond, 30 * Nanosecond}
-	g := NewShardGroup(kernels, 50*Nanosecond)
+	g := NewShardGroup(kernels, uniform(len(kernels), 50*Nanosecond))
 	defer g.Close()
 	g.SetExchange(func() int {
 		n := len(pending)
@@ -252,10 +243,10 @@ func TestShardGroupLimitMidWindow(t *testing.T) {
 		at := at
 		kernels[0].At(at, func() { fired = append(fired, at) })
 	}
-	g := NewShardGroup(kernels, 100*Nanosecond)
+	g := NewShardGroup(kernels, uniform(len(kernels), 100*Nanosecond))
 	defer g.Close()
-	// Lookahead 100ns anchors the first window at [0, 99], but the limit
-	// cuts it to [0, 50].
+	// A uniform 100ns matrix anchors the first window at [0, 99], but the
+	// limit cuts it to [0, 50].
 	if g.Run(50 * Nanosecond) {
 		t.Fatal("claimed to drain with the 60ns event pending")
 	}
@@ -285,7 +276,7 @@ func TestShardGroupLimitMidWindow(t *testing.T) {
 // the departed workers.
 func TestShardGroupCloseThenReuse(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2), NewKernel(3)}
-	g := NewShardGroup(kernels, 50*Nanosecond)
+	g := NewShardGroup(kernels, uniform(len(kernels), 50*Nanosecond))
 	g.Close()
 	g.Close() // second close is a no-op
 	defer func() {
@@ -298,20 +289,18 @@ func TestShardGroupCloseThenReuse(t *testing.T) {
 
 func TestShardGroupDistanceMatrixValidation(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	g := NewShardGroup(kernels, 50*Nanosecond)
-	defer g.Close()
 	mustPanic := func(name string, dist [][]Duration) {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		g.SetDistanceMatrix(dist)
+		NewShardGroup(kernels, dist).Close()
 	}
 	mustPanic("wrong shard count", [][]Duration{{0}})
 	mustPanic("not square", [][]Duration{{0, 0}, {0}})
-	mustPanic("entry below lookahead", [][]Duration{
-		{0, 10 * Nanosecond},
+	mustPanic("negative entry", [][]Duration{
+		{0, -Nanosecond},
 		{0, 0},
 	})
 }

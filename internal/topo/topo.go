@@ -56,8 +56,8 @@ type Config struct {
 	// leaf pair, kernel seeding).
 	Seed int64
 	// HostPropDelay is the host-to-leaf cable propagation delay; zero
-	// selects 25 ns (an in-rack cable). It bounds the lookahead window,
-	// so longer cables mean fewer barriers.
+	// selects 25 ns (an in-rack cable). It bounds the distance matrix's
+	// cross-shard edges, so longer cables mean fewer barriers.
 	HostPropDelay sim.Duration
 	// TrunkPropDelay is the switch-to-switch cable propagation delay;
 	// zero selects 100 ns (a cross-rack trunk).
@@ -111,7 +111,6 @@ type Fabric struct {
 
 	shardOfSwitch []int
 	shardOfHost   []int
-	lookahead     sim.Duration
 
 	exch *phy.ExchangeSet
 	// crossMin[{i, j}] is the minimum direct latency of any cross-shard
@@ -266,16 +265,7 @@ func Build(cfg Config) (*Fabric, error) {
 		}
 	}
 
-	// Lookahead: the minimum virtual-time latency of any link — one
-	// character's serialization plus the shortest propagation delay.
-	minProp := cfg.HostPropDelay
-	if cfg.TrunkPropDelay < minProp {
-		minProp = cfg.TrunkPropDelay
-	}
-	f.lookahead = myrinet.CharPeriod + minProp
-
-	f.Group = sim.NewShardGroup(f.Kernels, f.lookahead)
-	f.Group.SetDistanceMatrix(f.distanceMatrix())
+	f.Group = sim.NewShardGroup(f.Kernels, f.distanceMatrix())
 	f.Group.SetExchange(f.exch.Exchange)
 	return f, nil
 }
@@ -472,9 +462,6 @@ func (f *Fabric) resolverFor(h int) func([]byte, myrinet.MAC) ([]byte, bool) {
 		return f.appendRoute(buf, h, d)
 	}
 }
-
-// Lookahead returns the conservative-lookahead window width.
-func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
 
 // ShardOfHost returns the shard owning host h.
 func (f *Fabric) ShardOfHost(h int) int { return f.shardOfHost[h] }

@@ -204,14 +204,25 @@ func TestShardClamp(t *testing.T) {
 	}
 }
 
+// TestLookahead checks the distance matrix's shortest edge: sharded finer
+// than its switch count, the fabric's host cables cross shards, so the
+// smallest entry is one character plus the host cable's propagation delay.
 func TestLookahead(t *testing.T) {
 	f := build(t, Config{
-		Switches: 2, Hosts: 4, Seed: 1,
+		Switches: 2, Hosts: 4, Shards: 6, Seed: 1,
 		HostPropDelay: 30 * sim.Nanosecond, TrunkPropDelay: 80 * sim.Nanosecond,
 	})
 	want := myrinet.CharPeriod + 30*sim.Nanosecond
-	if f.Lookahead() != want {
-		t.Fatalf("lookahead = %v, want %v", f.Lookahead(), want)
+	var min sim.Duration
+	for _, row := range f.distanceMatrix() {
+		for _, d := range row {
+			if d != 0 && (min == 0 || d < min) {
+				min = d
+			}
+		}
+	}
+	if min != want {
+		t.Fatalf("shortest distance = %v, want %v", min, want)
 	}
 }
 
