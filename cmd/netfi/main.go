@@ -207,32 +207,82 @@ func table1(expOpts) string {
 		synth.Table1()
 }
 
-func table2(o expOpts) string {
-	rows := campaign.RunTable2(campaign.Table2Options{
+// scaledCount is n scaled by -scale, never below 1: a count that truncated
+// to 0 would select the campaign's full-length default.
+func scaledCount(n float64, o expOpts) int { return max(1, int(n*o.scale)) }
+
+// scaledDuration is n units scaled by -scale, never below one simulated
+// picosecond, for the same reason.
+func scaledDuration(n float64, unit sim.Duration, o expOpts) sim.Duration {
+	return max(sim.Picosecond, sim.Duration(n*o.scale*float64(unit)))
+}
+
+// The section options below are shared by the text and -json reports.
+
+func table2Options(o expOpts) campaign.Table2Options {
+	return campaign.Table2Options{
 		Seed:    o.seed,
-		Rounds:  int(20_000 * o.scale),
+		Rounds:  scaledCount(20_000, o),
 		Workers: o.workers,
-	})
+	}
+}
+
+func table4Options(o expOpts) campaign.Table4Options {
+	return campaign.Table4Options{
+		Seed:     o.seed,
+		Duration: scaledDuration(1700, sim.Millisecond, o),
+		Workers:  o.workers,
+	}
+}
+
+func sec431Options(o expOpts) campaign.Sec431Options {
+	return campaign.Sec431Options{
+		Seed:     o.seed,
+		Duration: scaledDuration(5, sim.Second, o),
+		Workers:  o.workers,
+	}
+}
+
+func passthroughOptions(o expOpts) campaign.PassThroughOptions {
+	return campaign.PassThroughOptions{
+		Seed:     o.seed,
+		Duration: scaledDuration(2, sim.Second, o),
+	}
+}
+
+func resilienceOptions(o expOpts) campaign.ResilienceOptions {
+	return campaign.ResilienceOptions{
+		Seed:    o.seed,
+		Trials:  scaledCount(14, o),
+		Workers: o.workers,
+	}
+}
+
+// chaosOptions derives the sweep shape from the shared knobs: 1000 forks
+// at scale 1 (the k <= 2 combination sweep), cut from one warmed base.
+func chaosOptions(o expOpts) campaign.ChaosOptions {
+	return campaign.ChaosOptions{
+		Seed:    o.seed,
+		Forks:   scaledCount(1000, o),
+		MaxK:    2,
+		Workers: o.workers,
+	}
+}
+
+func table2(o expOpts) string {
+	rows := campaign.RunTable2(table2Options(o))
 	return "Table 2: latency measurements (UDP ping-pong, with/without injector)\n" +
 		campaign.FormatTable2(rows)
 }
 
 func table4(o expOpts) string {
-	rows := campaign.RunTable4(campaign.Table4Options{
-		Seed:     o.seed,
-		Duration: sim.Duration(1700 * o.scale * float64(sim.Millisecond)),
-		Workers:  o.workers,
-	})
+	rows := campaign.RunTable4(table4Options(o))
 	return "Table 4: control symbol corruption campaign\n" +
 		campaign.FormatTable4(rows)
 }
 
 func sec431(o expOpts) string {
-	res := campaign.RunSec431(campaign.Sec431Options{
-		Seed:     o.seed,
-		Duration: sim.Duration(5 * o.scale * float64(sim.Second)),
-		Workers:  o.workers,
-	})
+	res := campaign.RunSec431(sec431Options(o))
 	return "Section 4.3.1: throughput under flow-control corruption\n" +
 		campaign.FormatSec431(res)
 }
@@ -263,24 +313,9 @@ func multirule(o expOpts) string {
 }
 
 func resilience(o expOpts) string {
-	res := campaign.RunResilience(campaign.ResilienceOptions{
-		Seed:    o.seed,
-		Trials:  int(14 * o.scale),
-		Workers: o.workers,
-	})
+	res := campaign.RunResilience(resilienceOptions(o))
 	return "Resilience campaign: randomized injections, recovery on vs off (same seeds)\n" +
 		campaign.FormatResilience(res)
-}
-
-// chaosOptions derives the sweep shape from the shared knobs: 1000 forks
-// at scale 1 (the k <= 2 combination sweep), cut from one warmed base.
-func chaosOptions(o expOpts) campaign.ChaosOptions {
-	return campaign.ChaosOptions{
-		Seed:    o.seed,
-		Forks:   int(1000 * o.scale),
-		MaxK:    2,
-		Workers: o.workers,
-	}
 }
 
 func chaosSection(o expOpts) string {
@@ -319,10 +354,7 @@ func monitorSection(o expOpts) string {
 }
 
 func passthrough(o expOpts) string {
-	res := campaign.RunPassThrough(campaign.PassThroughOptions{
-		Seed:     o.seed,
-		Duration: sim.Duration(2 * o.scale * float64(sim.Second)),
-	})
+	res := campaign.RunPassThrough(passthroughOptions(o))
 	return "Section 3.5: pass-through transparency\n" +
 		campaign.FormatPassThrough(res)
 }

@@ -126,10 +126,6 @@ type ChaosOptions struct {
 	// WallClock, when nonzero, bounds each fork in real time — the
 	// escape hatch that keeps one livelocked fork from wedging a sweep.
 	WallClock time.Duration
-	// Rebuild runs every plan on a freshly built testbed instead of a
-	// fork — the warm-path control the benchmark and the equivalence
-	// gate compare against.
-	Rebuild bool
 	// ArmedRules pre-arms a small multi-rule trigger program on the
 	// injector before warmup, so every fork is cut from a world with live
 	// rule-engine state — match counters, capture events, and the compiled
@@ -362,9 +358,10 @@ func runForkChaosTrial(base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosT
 	return runChaosTrial(fork, plan, opts)
 }
 
-// runRebuiltChaosTrial is the control path: warm a fresh world from
-// scratch and run the same plan. Fork equivalence demands its result be
-// byte-identical to runForkChaosTrial's.
+// runRebuiltChaosTrial is the control path the fork-equivalence gate
+// compares against: warm a fresh world from scratch and run the same plan.
+// Fork equivalence demands its result be byte-identical to
+// runForkChaosTrial's.
 func runRebuiltChaosTrial(seed int64, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	return runChaosTrial(newChaosBase(seed, opts), plan, opts)
 }
@@ -383,14 +380,8 @@ type ChaosResult struct {
 func RunChaos(opts ChaosOptions) ChaosResult {
 	opts.fillDefaults()
 	plans := GenerateForkPlans(opts)
-	var base *chaosBase
-	if !opts.Rebuild {
-		base = newChaosBase(opts.Seed, opts)
-	}
+	base := newChaosBase(opts.Seed, opts)
 	trials, errs := RunTrialsErr(len(plans), opts.Workers, func(i int) ChaosTrial {
-		if opts.Rebuild {
-			return runRebuiltChaosTrial(opts.Seed, plans[i], opts)
-		}
 		return runForkChaosTrial(base, plans[i], opts)
 	})
 	for i, err := range errs {

@@ -39,7 +39,6 @@ type FabricConfig struct {
 	Packets  int            // per-host send budget (default 4)
 	Payload  int            // payload bytes per packet (default 64)
 	Gap      sim.Duration   // per-host inter-send gap (default 5 us)
-	Start    sim.Duration   // first send (default 1 us)
 	Limit    sim.Duration   // run limit (default 100 ms)
 	// Record keeps per-host flow tables and receive logs for the
 	// equivalence fingerprint. Off for throughput runs.
@@ -59,13 +58,13 @@ func (c *FabricConfig) fillDefaults() {
 	if c.Gap <= 0 {
 		c.Gap = 5 * sim.Microsecond
 	}
-	if c.Start <= 0 {
-		c.Start = sim.Microsecond
-	}
 	if c.Limit <= 0 {
 		c.Limit = 100 * sim.Millisecond
 	}
 }
+
+// fabricStart is when every host makes its first send.
+const fabricStart = sim.Time(sim.Microsecond)
 
 // fabricEvent is one receive-log entry: the per-host event log the
 // equivalence fingerprint renders.
@@ -199,7 +198,7 @@ func (tb *FabricTestbed) arm() {
 	case WorkloadFlood:
 		for h := 0; h < hosts; h++ {
 			s := &fabricSender{tb: tb, h: h}
-			tb.F.HostKernel(h).AtArg(sim.Time(tb.Cfg.Start), fabricSenderFire, s)
+			tb.F.HostKernel(h).AtArg(fabricStart, fabricSenderFire, s)
 		}
 	case WorkloadPingPong:
 		// The even host of each complete pair serves: it sends the
@@ -207,7 +206,7 @@ func (tb *FabricTestbed) arm() {
 		// receive decrements and returns it until it hits zero.
 		for h := 0; h < hosts-1; h += 2 {
 			s := &pongOpener{tb: tb, h: h}
-			tb.F.HostKernel(h).AtArg(sim.Time(tb.Cfg.Start), pongOpenerFire, s)
+			tb.F.HostKernel(h).AtArg(fabricStart, pongOpenerFire, s)
 		}
 	}
 }

@@ -51,32 +51,18 @@ func (o *Sec431Options) fillDefaults() {
 	}
 }
 
-// sec431Run measures delivery under one corruption setting. mask/repl empty
-// (SymbolUnknown) means the pass-through baseline. duty > 0 meters the
-// trigger to duty out of every 100 ms; duty == 0 leaves it armed
-// continuously.
-func sec431Run(seed int64, d sim.Duration, mask, repl myrinet.Symbol, duty sim.Duration) (tapPerMin float64, totalPerMin float64, longTOs uint64) {
-	tb := NewTestbed(TestbedConfig{Seed: seed, TxQueueLimit: 4})
-	if mask != SymbolNone {
-		for _, dir := range []string{"L", "R"} {
-			tb.Configure(
-				"DIR "+dir,
-				"COMPARE -- -- -- "+byteEntry(mask),
-				"CORRUPT REPLACE -- -- -- "+byteEntry(repl),
-				"MODE ON",
-			)
-		}
-		if duty > 0 {
-			const period = 100 * sim.Millisecond
-			tb.DutyCycle(duty, period, int(d/period)+1)
-		}
-	}
-	load := tb.StartLoad(LoadConfig{})
-	tb.K.RunFor(d)
-	load.Stop()
-	tb.ConfigureBothMode(false)
-	tb.K.RunFor(100 * sim.Millisecond)
+// sec431DutyPeriod is the metering period of the faulty-STOP run.
+const sec431DutyPeriod = 100 * sim.Millisecond
 
+// sec431Run measures delivery at the tapped node and network-wide, both
+// per minute, and the long-period timeouts, under the given faults (none
+// is the healthy baseline).
+func sec431Run(seed int64, d sim.Duration, faults ...loadFault) (tapPerMin float64, totalPerMin float64, longTOs uint64) {
+	tb, load := loadPlan{
+		bed:      TestbedConfig{Seed: seed, TxQueueLimit: 4},
+		faults:   faults,
+		duration: d,
+	}.run()
 	minutes := d.Seconds() / 60
 	tapPerMin = float64(load.NodeReceived(tb.cfg.TapNode)) / minutes
 	totalPerMin = float64(load.Received()) / minutes
@@ -88,9 +74,6 @@ func sec431Run(seed int64, d sim.Duration, mask, repl myrinet.Symbol, duty sim.D
 	}
 	return tapPerMin, totalPerMin, longTOs
 }
-
-// SymbolNone marks "no corruption" in sec431Run.
-const SymbolNone = myrinet.SymbolUnknown
 
 // RunSec431 executes baseline, faulty-STOP, and GAP-corruption runs. The
 // three runs are independent simulations with their own seeds, so they can
@@ -105,7 +88,7 @@ func RunSec431(opts Sec431Options) Sec431Result {
 		var r run
 		switch i {
 		case 0:
-			r.tap, r.total, _ = sec431Run(opts.Seed, opts.Duration, SymbolNone, SymbolNone, 0)
+			r.tap, r.total, _ = sec431Run(opts.Seed, opts.Duration)
 		case 1:
 			// Faulty STOP conditions — the paper's own wording: "erroneous
 			// flow control symbols caused, for example, empty buffers to
@@ -115,11 +98,13 @@ func RunSec431(opts Sec431Options) Sec431Result {
 			// every 100 ms; armed continuously nothing at all survives
 			// (recovery needs a quiet window longer than the ~50 ms
 			// long-period timeout).
-			r.tap, _, _ = sec431Run(opts.Seed+1, opts.Duration, myrinet.SymbolGap, myrinet.SymbolStop, 82*sim.Millisecond)
+			stop := symbolFault(myrinet.SymbolGap, myrinet.SymbolStop)
+			stop.on, stop.period = 82*sim.Millisecond, sec431DutyPeriod
+			r.tap, _, _ = sec431Run(opts.Seed+1, opts.Duration, stop)
 		case 2:
 			// GAP corruption: packet-terminating GAPs vanish; paths stay
 			// occupied until the long-period timeout reclaims them.
-			_, r.total, r.longTOs = sec431Run(opts.Seed+2, opts.Duration, myrinet.SymbolGap, myrinet.SymbolIdle, 0)
+			_, r.total, r.longTOs = sec431Run(opts.Seed+2, opts.Duration, symbolFault(myrinet.SymbolGap, myrinet.SymbolIdle))
 		}
 		return r
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"netfi/internal/host"
 	"netfi/internal/myrinet"
 	"netfi/internal/netmap"
 	"netfi/internal/sim"
@@ -100,11 +101,11 @@ func runDestCorruption(seed int64, res Sec433Result) Sec433Result {
 	tap := tb.TapNode()
 	right := tb.Nodes[1]
 	wrong := tb.Nodes[2]
-	rRight, err := NewTapReceiver(right)
+	rRight, err := host.NewCountingReceiver(right, loadDstPort)
 	if err != nil {
 		panic(err)
 	}
-	rWrong, err := NewTapReceiver(wrong)
+	rWrong, err := host.NewCountingReceiver(wrong, loadDstPort)
 	if err != nil {
 		panic(err)
 	}
@@ -135,7 +136,7 @@ func runSelfAddressCorruption(seed int64, res Sec433Result) Sec433Result {
 	tb := NewTestbed(TestbedConfig{Seed: seed, Mapping: true, MapPeriod: mapPeriod})
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
-	r, err := NewTapReceiver(tap)
+	r, err := host.NewCountingReceiver(tap, loadDstPort)
 	if err != nil {
 		panic(err)
 	}

@@ -127,7 +127,7 @@ func ParseSpec(data []byte) (Spec, error) {
 		if f.DutyPeriodMS > 0 && ms(f.DutyPeriodMS) < sim.Picosecond {
 			return Spec{}, fmt.Errorf("campaign: fault %d: duty_period_ms %g is under one simulated picosecond", i, f.DutyPeriodMS)
 		}
-		if f.DutyPeriodMS > 0 && dutyPeriods(specDuration(s), f) > maxDutyPeriods {
+		if f.DutyPeriodMS > 0 && dutyPeriods(specDuration(s), ms(f.AtMS), ms(f.DutyPeriodMS)) > maxDutyPeriods {
 			return Spec{}, fmt.Errorf("campaign: fault %d: duty_period_ms %g gives more than %d periods in the load window",
 				i, f.DutyPeriodMS, maxDutyPeriods)
 		}
@@ -165,82 +165,50 @@ func specDuration(s Spec) sim.Duration {
 	return sim.Second
 }
 
-// dutyPeriods is how many periods a metered fault arms for in a load
-// window of the given duration.
-func dutyPeriods(duration sim.Duration, f FaultSpec) int64 {
-	return int64((duration-ms(f.AtMS))/ms(f.DutyPeriodMS)) + 1
-}
-
-// RunSpec executes a campaign from a known good state and classifies the
-// outcome.
-func RunSpec(s Spec) SpecResult {
+// plan converts s into the load campaign RunSpec runs.
+func (s Spec) plan() loadPlan {
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	duration := specDuration(s)
-	tb := NewTestbed(TestbedConfig{
-		Seed:         seed,
-		Mapping:      s.Mapping,
-		TxQueueLimit: s.TxQueueLimit,
-	})
-
+	p := loadPlan{
+		bed: TestbedConfig{
+			Seed:         seed,
+			Mapping:      s.Mapping,
+			TxQueueLimit: s.TxQueueLimit,
+		},
+		load: LoadConfig{
+			Burst:  s.Load.Burst,
+			Period: ms(s.Load.PeriodMS),
+			Size:   s.Load.Size,
+		},
+		duration: specDuration(s),
+	}
 	for _, f := range s.Faults {
-		dirs := []string{"L", "R"}
+		dirs := bothDirs
 		if f.Direction == "L" || f.Direction == "R" {
 			dirs = []string{f.Direction}
-		}
-		for _, d := range dirs {
-			tb.Configure(append([]string{"DIR " + d, "MODE OFF"}, f.Commands...)...)
-		}
-		// Arming is scheduled as direct register pokes (the way DutyCycle
-		// works): the serial path cannot be driven from inside a
-		// simulation event, and the paper's own campaigns pre-programmed
-		// the patterns and toggled only the match mode during a run.
-		engines := make([]*core.Engine, 0, 2)
-		for _, d := range dirs {
-			if d == "L" {
-				engines = append(engines, tb.Injector.Engine(DirOutbound))
-			} else {
-				engines = append(engines, tb.Injector.Engine(DirInbound))
-			}
 		}
 		mode := core.MatchOn
 		if f.Mode == "once" {
 			mode = core.MatchOnce
 		}
-		arm := func(m core.MatchMode) func() {
-			return func() {
-				for _, e := range engines {
-					e.SetMatchMode(m)
-				}
-			}
-		}
-		if f.DutyPeriodMS > 0 {
-			// Metered arming: re-arm each period, disarm after the
-			// on-window.
-			period := ms(f.DutyPeriodMS)
-			repeats := dutyPeriods(duration, f)
-			for i := int64(0); i < repeats; i++ {
-				start := ms(f.AtMS) + sim.Duration(i)*period
-				tb.K.After(start, arm(mode))
-				tb.K.After(start+ms(f.DutyOnMS), arm(core.MatchOff))
-			}
-		} else {
-			tb.K.After(ms(f.AtMS), arm(mode))
-		}
+		p.faults = append(p.faults, loadFault{
+			dirs:   dirs,
+			cmds:   f.Commands,
+			mode:   mode,
+			at:     ms(f.AtMS),
+			on:     ms(f.DutyOnMS),
+			period: ms(f.DutyPeriodMS),
+		})
 	}
+	return p
+}
 
-	load := tb.StartLoad(LoadConfig{
-		Burst:  s.Load.Burst,
-		Period: ms(s.Load.PeriodMS),
-		Size:   s.Load.Size,
-	})
-	tb.K.RunFor(duration)
-	load.Stop()
-	tb.ConfigureBothMode(false)
-	tb.K.RunFor(100 * sim.Millisecond)
-
+// RunSpec executes a campaign from a known good state and classifies the
+// outcome.
+func RunSpec(s Spec) SpecResult {
+	tb, load := s.plan().run()
 	outcome := load.Classify()
 	res := SpecResult{
 		Name:            s.Name,

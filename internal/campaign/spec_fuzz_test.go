@@ -37,7 +37,7 @@ func specTooLong(s Spec) bool {
 				return true
 			}
 		}
-		if f.DutyPeriodMS > 0 && dutyPeriods(duration, f) > 1000 {
+		if f.DutyPeriodMS > 0 && dutyPeriods(duration, ms(f.AtMS), ms(f.DutyPeriodMS)) > 1000 {
 			return true
 		}
 	}

@@ -3,6 +3,9 @@ package campaign
 import (
 	"strings"
 	"testing"
+
+	"netfi/internal/myrinet"
+	"netfi/internal/sim"
 )
 
 const specGapToGo = `{
@@ -149,5 +152,52 @@ func TestRunSpecOnceMode(t *testing.T) {
 	// Once per direction: at most 2 injections.
 	if res.Injections == 0 || res.Injections > 2 {
 		t.Errorf("once-mode injections = %d, want 1-2", res.Injections)
+	}
+}
+
+// RunTable4Row and RunSpec are two entry points to one load-campaign
+// runner: the GAP->GO row and the equivalent JSON spec must agree.
+func TestTable4RowMatchesSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign run; skipped in -short")
+	}
+	row := RunTable4Row(myrinet.SymbolGap, myrinet.SymbolGo, Table4Options{Seed: 7, Duration: 900 * sim.Millisecond})
+	s, err := ParseSpec([]byte(specGapToGo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunSpec(s)
+	if row.Sent != res.Sent || row.Received != res.Received ||
+		row.Outcome.CorruptAccepted != res.CorruptAccepted || row.Outcome.Classification != res.Classification {
+		t.Errorf("table 4 row %d/%d corrupt=%d %s, spec %d/%d corrupt=%d %s",
+			row.Sent, row.Received, row.Outcome.CorruptAccepted, row.Outcome.Classification,
+			res.Sent, res.Received, res.CorruptAccepted, res.Classification)
+	}
+}
+
+// A fault's at_ms counts from the start of the load: every fault is
+// programmed before the load starts, so listing a never-armed fault before
+// or after a metered one changes nothing.
+func TestSpecFaultTimesFromLoadStart(t *testing.T) {
+	metered := FaultSpec{
+		Direction:    "L",
+		Commands:     []string{"COMPARE -- -- -- X0C", "CORRUPT REPLACE -- -- -- X03"},
+		AtMS:         3,
+		DutyOnMS:     4,
+		DutyPeriodMS: 10,
+	}
+	idle := FaultSpec{
+		Direction: "R",
+		Commands:  []string{"COMPARE -- -- -- X0C"},
+		AtMS:      maxSpecMS,
+	}
+	first := RunSpec(Spec{Name: "t", Seed: 5, DurationMS: 60, Faults: []FaultSpec{metered, idle}})
+	last := RunSpec(Spec{Name: "t", Seed: 5, DurationMS: 60, Faults: []FaultSpec{idle, metered}})
+	if first.Injections == 0 {
+		t.Fatal("the metered fault never fired")
+	}
+	if first.Sent != last.Sent || first.Received != last.Received ||
+		first.Matches != last.Matches || first.Injections != last.Injections {
+		t.Errorf("fault order changed the run: %+v vs %+v", first, last)
 	}
 }

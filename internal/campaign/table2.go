@@ -30,37 +30,34 @@ type Table2Experiment struct {
 type Table2Options struct {
 	// Seed drives the per-experiment interrupt phases.
 	Seed int64
-	// Experiments is the row count. Zero selects the paper's 5.
-	Experiments int
 	// Rounds is the ping-pong round count per run. The paper used one
 	// million small packets per side; zero selects 20000, which measures
 	// the same averages (scale it up with the cmd/netfi flag for a
 	// full-length run).
 	Rounds int
-	// Payload is the "small UDP packet" size. Zero selects 32.
-	Payload int
 	// Workers runs the experiments concurrently; <= 1 is serial. Results
 	// are identical either way: the shared phase RNG is drained serially
 	// up front, so no rand.Rand crosses a goroutine boundary.
 	Workers int
 }
 
+const (
+	// table2Experiments is the row count, the paper's 5.
+	table2Experiments = 5
+	// table2Payload is the "small UDP packet" size.
+	table2Payload = 32
+)
+
 func (o *Table2Options) fillDefaults() {
-	if o.Experiments == 0 {
-		o.Experiments = 5
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 20_000
-	}
-	if o.Payload == 0 {
-		o.Payload = 32
 	}
 }
 
 // table2Run builds a two-node network (ports 0 and 1 of an 8-port switch),
 // optionally splices the injector into node 0's cable, runs the ping-pong,
 // and returns the average time per packet.
-func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, withInjector bool) (sim.Duration, *core.Device) {
+func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds int, withInjector bool) (sim.Duration, *core.Device) {
 	k := sim.NewKernel(seed)
 	net := myrinet.NewNetwork(k)
 	sw := net.AddSwitch("sw0", myrinet.DefaultPortCount)
@@ -85,7 +82,7 @@ func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, wit
 		dev.Insert(net.Cables["a"])
 	}
 	var res host.PingPongResult
-	host.PingPong(k, a, b, rounds, payload, func(r host.PingPongResult) { res = r })
+	host.PingPong(k, a, b, rounds, table2Payload, func(r host.PingPongResult) { res = r })
 	k.Run()
 	if res.Rounds != rounds {
 		panic(fmt.Sprintf("campaign: ping-pong finished %d/%d rounds", res.Rounds, rounds))
@@ -102,16 +99,16 @@ func RunTable2(opts Table2Options) []Table2Experiment {
 	// drain it serially here (four draws per experiment, in the original
 	// without-A, without-B, with-A, with-B order) before fanning out.
 	rng := sim.NewKernel(opts.Seed).Rand()
-	phases := make([][4]sim.Duration, opts.Experiments)
+	phases := make([][4]sim.Duration, table2Experiments)
 	for i := range phases {
 		for j := 0; j < 4; j++ {
 			phases[i][j] = sim.Duration(rng.Int63n(int64(sim.Microsecond)))
 		}
 	}
-	return RunTrials(opts.Experiments, opts.Workers, func(i int) Table2Experiment {
+	return RunTrials(table2Experiments, opts.Workers, func(i int) Table2Experiment {
 		p := phases[i]
-		without, _ := table2Run(opts.Seed+int64(100+i), p[0], p[1], opts.Rounds, opts.Payload, false)
-		with, dev := table2Run(opts.Seed+int64(200+i), p[2], p[3], opts.Rounds, opts.Payload, true)
+		without, _ := table2Run(opts.Seed+int64(100+i), p[0], p[1], opts.Rounds, false)
+		with, dev := table2Run(opts.Seed+int64(200+i), p[2], p[3], opts.Rounds, true)
 		return Table2Experiment{
 			Index:          i + 1,
 			WithoutPerPkt:  without,

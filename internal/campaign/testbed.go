@@ -50,8 +50,6 @@ type TestbedConfig struct {
 	NoInjector bool
 	// TxQueueLimit bounds each NIC's transmit queue. Zero selects 32.
 	TxQueueLimit int
-	// Baud sets the serial console rate. Zero selects 115200.
-	Baud int
 	// Recovery configures the failure-recovery layer on every link
 	// controller and switch port. The zero value (disabled) reproduces
 	// the paper's hardware, which hangs on lost GAPs.
@@ -148,7 +146,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	})
 	cable := net.Cables[tb.Nodes[cfg.TapNode].Name()]
 	tb.Injector.Insert(cable)
-	tb.Console = serial.NewConsole(k, tb.Injector, cfg.Baud)
+	tb.Console = serial.NewConsole(k, tb.Injector, serial.DefaultBaud)
 
 	if cfg.Mapping {
 		// Warm up: initial delay (1 ms) + scouts + distribution.
@@ -169,31 +167,6 @@ func (tb *Testbed) Configure(cmds ...string) {
 	}
 	// A command byte takes ~87 us at 115200 baud; run until quiet.
 	tb.K.RunFor(sim.Duration(len(cmds)) * 3 * sim.Millisecond)
-}
-
-// DutyCycle schedules MODE ON / MODE OFF toggles for both directions over
-// the run: on-time every period, starting at the next period boundary.
-// Campaigns use it to meter injection intensity, re-arming the trigger the
-// way NFTAPE scripts toggled the real board.
-func (tb *Testbed) DutyCycle(on, period sim.Duration, repeats int) {
-	for i := 0; i < repeats; i++ {
-		start := sim.Duration(i) * period
-		tb.K.After(start, func() {
-			tb.Injector.Engine(DirOutbound).SetMatchMode(core.MatchOn)
-			tb.Injector.Engine(DirInbound).SetMatchMode(core.MatchOn)
-		})
-		tb.K.After(start+on, func() {
-			tb.Injector.Engine(DirOutbound).SetMatchMode(core.MatchOff)
-			tb.Injector.Engine(DirInbound).SetMatchMode(core.MatchOff)
-		})
-	}
-}
-
-// ConfigureBoth programs both directions' engines directly with the same
-// register file (campaigns that bypass the serial path for tight timing).
-func (tb *Testbed) ConfigureBoth(cfg core.Config) {
-	tb.Injector.Engine(DirOutbound).Configure(cfg)
-	tb.Injector.Engine(DirInbound).Configure(cfg)
 }
 
 // ConfigureBothMode arms or disarms both directions' triggers.

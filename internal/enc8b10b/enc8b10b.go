@@ -105,9 +105,6 @@ var validK = map[byte]bool{
 	0xFE: true, // K30.7
 }
 
-// IsValidK reports whether b names a standard control character.
-func IsValidK(b byte) bool { return validK[b] }
-
 func rdIdx(rd RD) int {
 	if rd == RDPlus {
 		return 1

@@ -104,16 +104,14 @@ type NPort struct {
 	// Transmit side.
 	encRD   enc8b10b.RD
 	credits int
-	maxCred int
 	txq     []*Frame
 	stall   sim.Time // when the port ran out of credit
 
 	// Receive side.
-	decRD     enc8b10b.RD
-	setBuf    []byte // pending code-group bytes of an ordered set
-	inFrame   bool
-	frameBuf  []byte
-	recvDelay sim.Duration
+	decRD    enc8b10b.RD
+	setBuf   []byte // pending code-group bytes of an ordered set
+	inFrame  bool
+	frameBuf []byte
 
 	onFrame func(*Frame)
 	stats   PortStats
@@ -125,31 +123,25 @@ type NPortConfig struct {
 	Name string
 	// Addr is the 24-bit N_Port identifier.
 	Addr Address
-	// Credits is the initial buffer-to-buffer credit. Zero selects 4.
-	Credits int
-	// RecvDelay is the buffer-hold time before R_RDY returns. Zero
-	// selects 1 us.
-	RecvDelay sim.Duration
 }
+
+const (
+	// portCredits is each port's initial buffer-to-buffer credit.
+	portCredits = 4
+	// recvDelay is the buffer-hold time before R_RDY returns.
+	recvDelay = sim.Microsecond
+)
 
 // NewNPort builds a port transmitting on out.
 func NewNPort(k *sim.Kernel, cfg NPortConfig, out *phy.Link) *NPort {
-	if cfg.Credits == 0 {
-		cfg.Credits = 4
-	}
-	if cfg.RecvDelay == 0 {
-		cfg.RecvDelay = sim.Microsecond
-	}
 	return &NPort{
-		k:         k,
-		name:      cfg.Name,
-		addr:      cfg.Addr,
-		out:       out,
-		encRD:     enc8b10b.RDMinus,
-		decRD:     enc8b10b.RDMinus,
-		credits:   cfg.Credits,
-		maxCred:   cfg.Credits,
-		recvDelay: cfg.RecvDelay,
+		k:       k,
+		name:    cfg.Name,
+		addr:    cfg.Addr,
+		out:     out,
+		encRD:   enc8b10b.RDMinus,
+		decRD:   enc8b10b.RDMinus,
+		credits: portCredits,
 	}
 }
 
@@ -289,7 +281,7 @@ func (p *NPort) handleSet(os OrderedSet) {
 		p.completeFrame(raw)
 	case OSRRdy:
 		p.stats.RRdyReceived++
-		if p.credits < p.maxCred {
+		if p.credits < portCredits {
 			p.credits++
 		}
 		if p.stall != 0 {
@@ -308,7 +300,7 @@ func (p *NPort) completeFrame(raw []byte) {
 	f, err := DecodeFrame(raw)
 	// The buffer is consumed either way: return credit after the hold
 	// time.
-	p.k.After(p.recvDelay, p.sendRRdy)
+	p.k.After(recvDelay, p.sendRRdy)
 	if err != nil {
 		p.stats.CRCDrops++
 		return

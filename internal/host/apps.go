@@ -1,8 +1,6 @@
 package host
 
 import (
-	"math/rand"
-
 	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
@@ -58,130 +56,6 @@ func PingPong(k *sim.Kernel, a, b *Node, rounds int, payload int, done func(Ping
 	}
 	began = k.Now()
 	a.SendUDP(b.MAC(), portA, portB, data)
-}
-
-// Flood is a message-sending program: it transmits fixed-size datagrams at
-// a fixed interval, the "simple UDP packet generation program" the campaign
-// runs on every node (§4.2). Payloads can be constrained to avoid a byte
-// value so that symbol-corruption campaigns can attribute every loss to
-// control symbols rather than payload hits ("the symbol mask we corrupted
-// did not appear in the message itself").
-type Flood struct {
-	k        *sim.Kernel
-	node     *Node
-	dst      myrinet.MAC
-	srcPort  uint16
-	dstPort  uint16
-	interval sim.Duration
-	size     int
-	avoid    []byte
-	rng      *rand.Rand
-
-	sent    uint64
-	running bool
-	seq     uint32
-}
-
-// FloodConfig parameterizes a generator.
-type FloodConfig struct {
-	// Dst is the destination node's address.
-	Dst myrinet.MAC
-	// SrcPort and DstPort are the UDP ports (defaults 9000/9001).
-	SrcPort, DstPort uint16
-	// Interval is the inter-send spacing. Zero selects 1.25 ms (the
-	// 800 msg/s that yields the paper's ~48000 messages/minute baseline).
-	Interval sim.Duration
-	// Size is the payload length. Zero selects 64.
-	Size int
-	// Avoid lists byte values that must not appear in the payload.
-	Avoid []byte
-}
-
-// NewFlood builds a generator on node.
-func NewFlood(k *sim.Kernel, node *Node, cfg FloodConfig) *Flood {
-	if cfg.Interval == 0 {
-		cfg.Interval = 1250 * sim.Microsecond
-	}
-	if cfg.Size == 0 {
-		cfg.Size = 64
-	}
-	if cfg.SrcPort == 0 {
-		cfg.SrcPort = 9000
-	}
-	if cfg.DstPort == 0 {
-		cfg.DstPort = 9001
-	}
-	return &Flood{
-		k:        k,
-		node:     node,
-		dst:      cfg.Dst,
-		srcPort:  cfg.SrcPort,
-		dstPort:  cfg.DstPort,
-		interval: cfg.Interval,
-		size:     cfg.Size,
-		avoid:    cfg.Avoid,
-		rng:      k.Rand(),
-	}
-}
-
-// Start begins sending; Stop ends it.
-func (f *Flood) Start() {
-	if f.running {
-		return
-	}
-	f.running = true
-	f.tick()
-}
-
-// Stop halts the generator.
-func (f *Flood) Stop() { f.running = false }
-
-// Sent reports datagrams handed to the stack.
-func (f *Flood) Sent() uint64 { return f.sent }
-
-func (f *Flood) tick() {
-	if !f.running {
-		return
-	}
-	f.node.SendUDP(f.dst, f.srcPort, f.dstPort, f.payload())
-	f.sent++
-	f.k.AfterArg(f.interval, floodTick, f)
-}
-
-func floodTick(a any) { a.(*Flood).tick() }
-
-// payload builds a sequence-stamped body that avoids the forbidden bytes.
-func (f *Flood) payload() []byte {
-	data := make([]byte, f.size)
-	f.seq++
-	// Stamp a sequence number in avoid-safe base-16-ish encoding: each
-	// nibble as 0x10|nibble<<1 keeps values far from small control codes.
-	s := f.seq
-	for i := 0; i < 8 && i < len(data); i++ {
-		data[i] = 0x40 | byte(s&0x0F)
-		s >>= 4
-	}
-	for i := 8; i < len(data); i++ {
-		data[i] = byte(0x20 + f.rng.Intn(90)) // printable, clear of 0x00-0x1F
-	}
-	if len(f.avoid) > 0 {
-		for i, b := range data {
-			for f.isAvoided(b) {
-				b++
-				data[i] = b
-			}
-		}
-	}
-	return data
-}
-
-func (f *Flood) isAvoided(b byte) bool {
-	for _, a := range f.avoid {
-		if a == b {
-			return true
-		}
-	}
-	return false
 }
 
 // CountingReceiver binds a port and counts what arrives, the measurement

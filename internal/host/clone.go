@@ -121,34 +121,6 @@ func (f *flow) clone(m *sim.Mapper, r2 *Reliable) *flow {
 	return f2
 }
 
-// Clone forks the flood generator. The RNG repoints at the forked kernel's
-// (the generator borrows the kernel's stream rather than owning one).
-func (f *Flood) Clone(m *sim.Mapper) *Flood {
-	f2 := &Flood{
-		k:        m.Kernel(),
-		dst:      f.dst,
-		srcPort:  f.srcPort,
-		dstPort:  f.dstPort,
-		interval: f.interval,
-		size:     f.size,
-		avoid:    append([]byte(nil), f.avoid...),
-		rng:      m.Kernel().Rand(),
-		sent:     f.sent,
-		running:  f.running,
-		seq:      f.seq,
-	}
-	m.Put(f, f2)
-	m.Defer(func() error {
-		v, ok := m.Lookup(f.node)
-		if !ok {
-			return fmt.Errorf("host: fork: flood generator on uncloned node %s", f.node.Name())
-		}
-		f2.node = v.(*Node)
-		return nil
-	})
-	return f2
-}
-
 // Clone forks the heartbeat beacon.
 func (h *Heartbeat) Clone(m *sim.Mapper) *Heartbeat {
 	h2 := &Heartbeat{

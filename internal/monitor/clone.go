@@ -29,7 +29,7 @@ func (d *PhiDetector) Clone() *PhiDetector {
 
 // Clone copies the shift detector: frozen/accruing baseline and the EWMA.
 func (d *ShiftDetector) Clone() *ShiftDetector {
-	d2 := &ShiftDetector{base: d.base, warmup: d.warmup, zmax: d.zmax}
+	d2 := &ShiftDetector{base: d.base}
 	e := *d.recent
 	d2.recent = &e
 	return d2

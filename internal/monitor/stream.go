@@ -77,49 +77,42 @@ func (e *EWMA) Add(x float64) {
 // Value reports the current average (0 before any sample).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Seen reports whether any sample has arrived.
-func (e *EWMA) Seen() bool { return e.seen }
-
 // ShiftDetector flags sustained latency shifts in a sample stream: it
-// baselines with Welford over a warmup, then reports an anomaly when the
-// EWMA departs from the baseline mean by more than zmax standard
+// baselines with Welford over shiftWarmup samples, then reports an anomaly
+// when the EWMA departs from the baseline mean by more than shiftZ standard
 // deviations. Comparing the smoothed average (not the raw sample) means a
 // single late burst does not fire it, but a shifted distribution does.
 type ShiftDetector struct {
 	base   Welford
 	recent *EWMA
-	warmup uint64
-	zmax   float64
 }
 
-// NewShiftDetector returns a detector requiring warmup baseline samples
-// (zero selects 32) and firing beyond zmax standard deviations (zero
-// selects 6).
-func NewShiftDetector(warmup uint64, zmax float64) *ShiftDetector {
-	if warmup == 0 {
-		warmup = 32
-	}
-	if zmax == 0 {
-		zmax = 6
-	}
-	return &ShiftDetector{recent: NewEWMA(0.2), warmup: warmup, zmax: zmax}
+const (
+	// shiftWarmup is the baseline sample count.
+	shiftWarmup = 32
+	// shiftZ is the smoothed deviation, in baseline standard deviations,
+	// that counts as a shift.
+	shiftZ = 6
+)
+
+// NewShiftDetector returns a detector requiring shiftWarmup baseline
+// samples and firing beyond shiftZ standard deviations.
+func NewShiftDetector() *ShiftDetector {
+	return &ShiftDetector{recent: NewEWMA(0.2)}
 }
 
 // Add folds one sample in and reports whether it completes a detected
 // shift. During warmup every sample extends the baseline; after it the
 // baseline freezes and only the EWMA tracks the stream.
 func (d *ShiftDetector) Add(x float64) bool {
-	if d.base.Count() < d.warmup {
+	if d.base.Count() < shiftWarmup {
 		d.base.Add(x)
 		d.recent.Add(x)
 		return false
 	}
 	d.recent.Add(x)
-	return math.Abs(d.base.Z(d.recent.Value())) >= d.zmax
+	return math.Abs(d.base.Z(d.recent.Value())) >= shiftZ
 }
 
 // Z reports the current smoothed deviation from the baseline.
 func (d *ShiftDetector) Z() float64 { return d.base.Z(d.recent.Value()) }
-
-// Warm reports whether the baseline is complete.
-func (d *ShiftDetector) Warm() bool { return d.base.Count() >= d.warmup }

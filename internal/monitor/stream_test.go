@@ -45,7 +45,7 @@ func TestEWMAConverges(t *testing.T) {
 }
 
 func TestShiftDetector(t *testing.T) {
-	d := NewShiftDetector(32, 6)
+	d := NewShiftDetector()
 	rng := rand.New(rand.NewSource(7))
 	// Baseline: ~100 with a little jitter.
 	for i := 0; i < 64; i++ {

@@ -2,7 +2,6 @@ package myrinet
 
 import (
 	"fmt"
-	"sort"
 
 	"netfi/internal/bitstream"
 	"netfi/internal/phy"
@@ -61,9 +60,6 @@ type InterfaceConfig struct {
 	// ID is the MCP's 64-bit unique address; the highest ID on the
 	// network is responsible for mapping.
 	ID NodeID
-	// MaxPacket bounds reassembly; a stream exceeding it before a GAP is
-	// dropped as oversize. Zero selects 4096.
-	MaxPacket int
 	// TxQueueLimit bounds the NIC transmit queue in packets; sends
 	// beyond it are dropped (DropTxQueue). Zero means unbounded.
 	TxQueueLimit int
@@ -73,11 +69,12 @@ type InterfaceConfig struct {
 	Recovery RecoveryConfig
 }
 
+// maxPacket bounds reassembly; a stream exceeding it before a GAP is
+// dropped as oversize.
+const maxPacket = 4096
+
 // NewInterface returns an unattached interface.
 func NewInterface(k *sim.Kernel, cfg InterfaceConfig) *Interface {
-	if cfg.MaxPacket == 0 {
-		cfg.MaxPacket = 4096
-	}
 	ifc := &Interface{
 		k:      k,
 		cfg:    cfg,
@@ -194,18 +191,6 @@ func (ifc *Interface) Routes() map[MAC][]byte {
 	return out
 }
 
-// KnownPeers returns the MACs in the routing table in deterministic order.
-func (ifc *Interface) KnownPeers() []MAC {
-	out := make([]MAC, 0, len(ifc.routes))
-	for m := range ifc.routes {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].String() < out[j].String()
-	})
-	return out
-}
-
 // replaceRoutes installs a full table (mapping distribution).
 func (ifc *Interface) replaceRoutes(table map[MAC][]byte) {
 	ifc.routes = table
@@ -277,7 +262,7 @@ func (ifc *Interface) drain() {
 			if ifc.oversized {
 				continue
 			}
-			if len(ifc.assembling) >= ifc.cfg.MaxPacket {
+			if len(ifc.assembling) >= maxPacket {
 				ifc.oversized = true
 				continue
 			}

@@ -98,11 +98,6 @@ type LinkControllerConfig struct {
 	Out *phy.Link
 	// Counters receives statistics; required.
 	Counters *Counters
-	// SlackCapacity/SlackHigh/SlackLow set the receive buffer geometry.
-	// Zero values select the package defaults.
-	SlackCapacity int
-	SlackHigh     int
-	SlackLow      int
 	// Recovery enables the link-reset protocol and its watchdogs.
 	Recovery RecoveryConfig
 }
@@ -117,17 +112,13 @@ func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController 
 	if cfg.Counters == nil {
 		panic("myrinet: LinkController requires counters")
 	}
-	capacity, high, low := cfg.SlackCapacity, cfg.SlackHigh, cfg.SlackLow
-	if capacity == 0 {
-		capacity, high, low = DefaultSlackCapacity, DefaultSlackHigh, DefaultSlackLow
-	}
 	lc := &LinkController{
 		k:    k,
 		name: cfg.Name,
 		out:  cfg.Out,
 		ctr:  cfg.Counters,
 	}
-	lc.slack = NewSlackBuffer(capacity, high, low, lc.assertStop, lc.assertGo)
+	lc.slack = NewDefaultSlackBuffer(lc.assertStop, lc.assertGo)
 	lc.shortTimer = sim.NewTimer(k, ShortTimeout, lc.onShortTimeout)
 	lc.longTimer = sim.NewTimer(k, LongTimeout, lc.onLongTimeout)
 	lc.SetRecovery(cfg.Recovery)
@@ -242,9 +233,6 @@ func (lc *LinkController) popTx() *txPacket {
 
 // QueuedPackets reports how many packets wait behind the current one.
 func (lc *LinkController) QueuedPackets() int { return len(lc.txq) - lc.txHead }
-
-// Transmitting reports whether a packet is partially sent.
-func (lc *LinkController) Transmitting() bool { return lc.cur != nil }
 
 // Paused reports whether remote STOP is gating the transmitter.
 func (lc *LinkController) Paused() bool { return lc.paused }

@@ -27,14 +27,16 @@ type MappingConfig struct {
 	ProbeDepth int
 	// ProbeFanout is the assumed switch port count. Zero selects 8.
 	ProbeFanout int
-	// WatchdogFactor scales MapPeriod into the promotion timeout: a
-	// non-mapper that hears no routing-table update for
-	// WatchdogFactor*MapPeriod promotes itself. Zero selects 2.5.
-	WatchdogFactor float64
-	// InitialDelay postpones the first round/watchdog after attach.
-	// Zero selects 1 ms.
-	InitialDelay sim.Duration
 }
+
+const (
+	// watchdogFactor scales MapPeriod into the promotion timeout: a
+	// non-mapper that hears no routing-table update for
+	// watchdogFactor*MapPeriod promotes itself.
+	watchdogFactor = 2.5
+	// mapInitialDelay postpones the first round/watchdog after attach.
+	mapInitialDelay = sim.Millisecond
+)
 
 func (c *MappingConfig) fillDefaults() {
 	if c.MapPeriod == 0 {
@@ -48,12 +50,6 @@ func (c *MappingConfig) fillDefaults() {
 	}
 	if c.ProbeFanout == 0 {
 		c.ProbeFanout = DefaultPortCount
-	}
-	if c.WatchdogFactor == 0 {
-		c.WatchdogFactor = 2.5
-	}
-	if c.InitialDelay == 0 {
-		c.InitialDelay = sim.Millisecond
 	}
 }
 
@@ -112,9 +108,8 @@ type MCP struct {
 	ifc *Interface
 	cfg MappingConfig
 
-	isMapper    bool
-	knownMapper NodeID
-	watchdog    *sim.Timer
+	isMapper bool
+	watchdog *sim.Timer
 
 	// Mapper round state.
 	seq         uint16
@@ -123,14 +118,11 @@ type MCP struct {
 	rounds      uint64
 	failed      uint64
 	last        *Snapshot
-	onSnapshot  func(*Snapshot)
 
 	// Statistics.
 	scoutsSent     uint64
 	scoutsAnswered uint64
 	repliesSeen    uint64
-	tablesApplied  uint64
-	promotions     uint64
 	demotions      uint64
 }
 
@@ -143,7 +135,7 @@ type probe struct {
 func newMCP(ifc *Interface, cfg MappingConfig) *MCP {
 	cfg.fillDefaults()
 	m := &MCP{ifc: ifc, cfg: cfg, probes: make(map[uint16]*probe)}
-	m.watchdog = sim.NewTimer(ifc.k, sim.Duration(cfg.WatchdogFactor*float64(cfg.MapPeriod)), m.onWatchdog)
+	m.watchdog = sim.NewTimer(ifc.k, sim.Duration(watchdogFactor*float64(cfg.MapPeriod)), m.onWatchdog)
 	return m
 }
 
@@ -155,7 +147,7 @@ func (m *MCP) start() {
 	if m.cfg.InitialMapper {
 		m.isMapper = true
 	}
-	m.ifc.k.AfterArg(m.cfg.InitialDelay, mcpStart, m)
+	m.ifc.k.AfterArg(mapInitialDelay, mcpStart, m)
 }
 
 // Package-level trampolines: the MCP's periodic machinery schedules
@@ -186,20 +178,12 @@ func (m *MCP) tick() {
 // IsMapper reports whether this node currently acts as the network mapper.
 func (m *MCP) IsMapper() bool { return m.isMapper }
 
-// KnownMapper returns the MCP ID of the last mapper whose table this node
-// accepted.
-func (m *MCP) KnownMapper() NodeID { return m.knownMapper }
-
 // LastSnapshot returns the most recent mapping round's outcome (mapper
 // only), or nil.
 func (m *MCP) LastSnapshot() *Snapshot { return m.last }
 
 // Rounds reports completed mapping rounds and how many were inconsistent.
 func (m *MCP) Rounds() (total, inconsistent uint64) { return m.rounds, m.failed }
-
-// SetSnapshotHandler registers a callback invoked after every completed
-// round (mapper only).
-func (m *MCP) SetSnapshotHandler(fn func(*Snapshot)) { m.onSnapshot = fn }
 
 // onWatchdog promotes this node to mapper after silence from the current
 // one — the recovery that brings the network back when the mapper's address
@@ -208,7 +192,6 @@ func (m *MCP) onWatchdog() {
 	if m.isMapper || !m.cfg.Enabled {
 		return
 	}
-	m.promotions++
 	m.isMapper = true
 	m.beginRound()
 }
@@ -310,9 +293,6 @@ func (m *MCP) finishRound() {
 	}
 	m.last = snap
 	m.distribute(snap)
-	if m.onSnapshot != nil {
-		m.onSnapshot(snap)
-	}
 }
 
 func hasDuplicateIdentity(entries []MapEntry) bool {
@@ -502,9 +482,7 @@ func (m *MCP) handleTable(payload []byte) {
 		table[mac] = append([]byte(nil), payload[off:off+rl]...)
 		off += rl
 	}
-	m.tablesApplied++
 	m.ifc.replaceRoutes(table)
-	m.knownMapper = mapper
 	if m.cfg.Enabled {
 		m.watchdog.Reset()
 	}
@@ -515,20 +493,13 @@ func (m *MCP) handleTable(payload []byte) {
 		m.isMapper = false
 	case !m.isMapper && m.cfg.Enabled && mapper < m.ifc.cfg.ID:
 		// We outrank the active mapper: take over.
-		m.promotions++
 		m.isMapper = true
-		m.ifc.k.AfterArg(m.cfg.InitialDelay, mcpBegin, m)
+		m.ifc.k.AfterArg(mapInitialDelay, mcpBegin, m)
 	}
 }
 
-// TablesApplied reports how many routing-table updates this node accepted.
-func (m *MCP) TablesApplied() uint64 { return m.tablesApplied }
-
 // ScoutsAnswered reports how many scouts this node replied to.
 func (m *MCP) ScoutsAnswered() uint64 { return m.scoutsAnswered }
-
-// Promotions and demotions report mapper-role transitions.
-func (m *MCP) Promotions() uint64 { return m.promotions }
 
 // Demotions reports how many times this node ceded the mapper role.
 func (m *MCP) Demotions() uint64 { return m.demotions }

@@ -88,13 +88,6 @@ func (n *Network) AddSwitch(name string, ports int) *Switch {
 	return sw
 }
 
-// AddInterface creates and registers a host interface.
-func (n *Network) AddInterface(cfg InterfaceConfig) *Interface {
-	ifc := NewInterface(n.Kernel, cfg)
-	n.Interfaces = append(n.Interfaces, ifc)
-	return ifc
-}
-
 // ConnectHost cables a host interface to a switch port and records the
 // cable under the interface's name.
 func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
@@ -109,16 +102,6 @@ func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cab
 	cable := ConnectCross(n.Kernel, n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
 	n.Cables[name] = cable
 	return cable
-}
-
-// InterfaceByMAC finds a registered interface by address.
-func (n *Network) InterfaceByMAC(mac MAC) (*Interface, bool) {
-	for _, ifc := range n.Interfaces {
-		if ifc.MAC() == mac {
-			return ifc, true
-		}
-	}
-	return nil, false
 }
 
 // InstallStaticRoutes gives every interface a route to every other assuming

@@ -194,22 +194,25 @@ func (l *Link) sendOwned(burst []Character) sim.Time {
 	return arrival
 }
 
-// SendPriority transmits a short control burst that preempts queued data at
-// the next character boundary, the way Myrinet interleaves flow-control
-// symbols into the stream: it is delivered after its own serialization and
-// propagation time, without waiting behind bursts already committed to the
-// transmit queue (and without pushing them back — the one-character wire
-// occupancy is absorbed into the burst model's granularity).
-func (l *Link) SendPriority(chars []Character) sim.Time {
-	if len(chars) == 0 {
-		return l.k.Now()
-	}
-	burst := GetBurst(l.k, len(chars))
-	copy(burst, chars)
-	return l.sendPriorityOwned(burst)
+// SendOne transmits a single character without the caller building a slice;
+// flow-control symbols (STOP/GO/GAP) dominate link traffic, so this path
+// must not allocate.
+func (l *Link) SendOne(c Character) sim.Time {
+	burst := GetBurst(l.k, 1)
+	burst[0] = c
+	return l.sendOwned(burst)
 }
 
-func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
+// SendPriorityOne transmits a single control character that preempts
+// queued data at the next character boundary, the way Myrinet interleaves
+// flow-control symbols into the stream: it is delivered after its own
+// serialization and propagation time, without waiting behind bursts already
+// committed to the transmit queue (and without pushing them back — the
+// one-character wire occupancy is absorbed into the burst model's
+// granularity).
+func (l *Link) SendPriorityOne(c Character) sim.Time {
+	burst := GetBurst(l.k, 1)
+	burst[0] = c
 	if l.severed {
 		l.severedChars += uint64(len(burst))
 		ReleaseBurst(l.k, burst)
@@ -226,25 +229,6 @@ func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 	return arrival
 }
 
-// SendOne transmits a single character without the caller building a slice;
-// flow-control symbols (STOP/GO/GAP) dominate link traffic, so this path
-// must not allocate.
-func (l *Link) SendOne(c Character) sim.Time {
-	burst := GetBurst(l.k, 1)
-	burst[0] = c
-	return l.sendOwned(burst)
-}
-
-// SendPriorityOne is SendOne with SendPriority's preemption semantics.
-func (l *Link) SendPriorityOne(c Character) sim.Time {
-	burst := GetBurst(l.k, 1)
-	burst[0] = c
-	return l.sendPriorityOwned(burst)
-}
-
-// SendByte transmits a single data byte.
-func (l *Link) SendByte(b byte) sim.Time { return l.SendOne(DataChar(b)) }
-
 // SendControl transmits a single control character.
 func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(code)) }
 
@@ -253,9 +237,6 @@ func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(co
 // arrive — light in the pipe — so a severed link drains rather than
 // un-happens. Chaos campaigns use this as the cable-cut fault primitive.
 func (l *Link) Sever() { l.severed = true }
-
-// Severed reports whether the link has been cut.
-func (l *Link) Severed() bool { return l.severed }
 
 // SeveredChars reports characters discarded after the cut.
 func (l *Link) SeveredChars() uint64 { return l.severedChars }

@@ -337,9 +337,6 @@ func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32,
 	return table, b.accept, true
 }
 
-// NumRules returns the rule count.
-func (p *Program) NumRules() int { return len(p.rules) }
-
 // Rule returns rule i (compile order).
 func (p *Program) Rule(i int) *Rule { return &p.rules[i] }
 

@@ -62,9 +62,6 @@ type Config struct {
 	// TrunkPropDelay is the switch-to-switch cable propagation delay;
 	// zero selects 100 ns (a cross-rack trunk).
 	TrunkPropDelay sim.Duration
-	// MaxPacket is passed through to every interface; zero selects the
-	// interface default.
-	MaxPacket int
 }
 
 func (c *Config) fillDefaults() error {
@@ -224,10 +221,9 @@ func Build(cfg Config) (*Fabric, error) {
 	f.Hosts = make([]*myrinet.Interface, cfg.Hosts)
 	for h := range f.Hosts {
 		ifc := myrinet.NewInterface(f.Kernels[f.shardOfHost[h]], myrinet.InterfaceConfig{
-			Name:      fmt.Sprintf("h%04d", h),
-			MAC:       HostMAC(h),
-			ID:        myrinet.NodeID(h + 1),
-			MaxPacket: cfg.MaxPacket,
+			Name: fmt.Sprintf("h%04d", h),
+			MAC:  HostMAC(h),
+			ID:   myrinet.NodeID(h + 1),
 		})
 		ifc.SetRouteResolver(f.resolverFor(h))
 		f.Hosts[h] = ifc

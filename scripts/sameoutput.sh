@@ -1,13 +1,14 @@
 #!/bin/sh
-# sameoutput.sh — the output-identity gate. Builds cmd/netfi at BASE (a
-# commit-ish, checked out into a temporary git worktree) and from the
-# working tree, then diffs what the two print for
+# sameoutput.sh — the output-identity gate. Builds cmd/netfi and
+# cmd/campaign at BASE (a commit-ish, checked out into a temporary git
+# worktree) and from the working tree, then diffs what the two print for
 #
 #	netfi -workers 1 -seed 1 -scale 0.1 all
 #	netfi -workers 1 -seed 1 -scale 0.1 -json resilience|monitor|chaos
+#	campaign -json <the spec BASE's campaign -example prints>
 #
 # Every run is deterministic, so any byte of difference is a behaviour
-# change. Exits 0 when all four match, 1 on any difference.
+# change. Exits 0 when all five match, 1 on any difference.
 #
 # Usage: scripts/sameoutput.sh BASE     (or: make same-output BASE=...)
 set -eu
@@ -29,28 +30,32 @@ trap cleanup EXIT
 trap 'exit 2' HUP INT PIPE TERM
 
 git worktree add --quiet --detach "$tmp/base" "$base"
-(cd "$tmp/base" && go build -o "$tmp/netfi-base" ./cmd/netfi)
+(cd "$tmp/base" && go build -o "$tmp/netfi-base" ./cmd/netfi && go build -o "$tmp/campaign-base" ./cmd/campaign)
 go build -o "$tmp/netfi-head" ./cmd/netfi
+go build -o "$tmp/campaign-head" ./cmd/campaign
 
 status=0
 same() {
-    name=$1
-    shift
-    "$tmp/netfi-base" "$@" > "$tmp/base.$name"
-    "$tmp/netfi-head" "$@" > "$tmp/head.$name"
+    prog=$1
+    name=$2
+    shift 2
+    "$tmp/$prog-base" "$@" > "$tmp/base.$name"
+    "$tmp/$prog-head" "$@" > "$tmp/head.$name"
     if cmp -s "$tmp/base.$name" "$tmp/head.$name"; then
-        echo "same:    netfi $*"
+        echo "same:    $prog $*"
     else
-        echo "DIFFERS: netfi $*"
+        echo "DIFFERS: $prog $*"
         diff -u "$tmp/base.$name" "$tmp/head.$name" | head -40 || true
         status=1
     fi
 }
 
-same all -workers 1 -seed 1 -scale 0.1 all
+same netfi all -workers 1 -seed 1 -scale 0.1 all
 for section in resilience monitor chaos; do
-    same "$section.json" -workers 1 -seed 1 -scale 0.1 -json "$section"
+    same netfi "$section.json" -workers 1 -seed 1 -scale 0.1 -json "$section"
 done
+"$tmp/campaign-base" -example > "$tmp/example.json"
+same campaign campaign.json -json "$tmp/example.json"
 
 if [ "$status" -eq 0 ]; then
     echo "sameoutput: identical to $(git rev-parse --short "$base")"
